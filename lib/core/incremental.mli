@@ -1,23 +1,13 @@
 (** Incremental re-evaluation of a site after a data change (§6,
-    [FER 98c]).
+    [FER 98c]): the differential publish leg of [strudel watch].
 
-    The site graph is recomputed — graph construction is the cheap,
-    structural part — but HTML pages are regenerated only where a
-    page's fingerprinted neighbourhood changed; unchanged pages keep
-    their bytes without being rendered.  Incremental output is
-    byte-identical to a full rebuild (property-tested under random
-    mutations). *)
+    A full rebuild that reuses unchanged pages is {!Site.build} with a
+    [~render_cache] carried over from the previous build: each cached
+    page's verifying read trace decides reuse exactly.  This module
+    adds the publish step for a site graph that was {e maintained} in
+    place rather than re-evaluated. *)
 
 open Sgraph
-
-(** Memo table for {!fingerprint}: (node id, depth) → hash. *)
-type fp_cache = (int * int, int) Hashtbl.t
-
-val fingerprint : ?cache:fp_cache -> Graph.t -> depth:int -> Oid.t -> int
-(** A stable structural hash of the node's out-neighbourhood to
-    [depth], independent of oid numbering (nodes contribute names,
-    values their contents).  Uses explicit hash combining — immune to
-    [Hashtbl.hash]'s structural truncation. *)
 
 type rebuild_report = {
   built : Site.built;
@@ -25,13 +15,6 @@ type rebuild_report = {
   pages_rerendered : int;
   pages_reused : int;
 }
-
-val default_depth : int
-(** 2: covers templates that read their object's attributes plus one
-    bounded hop ([@a.date], [KEY=year], EMBED of a neighbour).  Raise
-    it for templates with deeper traversal. *)
-
-val page_candidates : Graph.t -> Oid.t list -> Oid.t list
 
 val publish_delta :
   ?jobs:int ->
@@ -50,37 +33,12 @@ val publish_delta :
   rebuild_report
 (** The differential publish leg of [strudel watch]: the site graph was
     already maintained in place (by {!Struql.Dexec}), so query
-    re-evaluation is skipped and only page materialization runs,
-    against the cross-epoch [cache] whose verifying read traces
-    invalidate exactly the pages whose rendering observed the change.
-    [touched]/[removed] are the site-node names the delta cycle
-    reported; when both are empty the previous build's pages are reused
-    wholesale.  Schemas and query profiles are carried over from
-    [previous] (the maintained graph's queries have not changed).
-    Output is byte-identical to a cold {!Site.build} over the same
-    data. *)
-
-val rebuild :
-  ?depth:int ->
-  ?jobs:int ->
-  ?cache:Render_cache.t ->
-  ?file_loader:(string -> string option) ->
-  ?on_error:Fault.on_error ->
-  ?fault:Fault.ctx ->
-  ?shards:Struql.Exec.shard_ctx ->
-  previous:Site.built -> data:Graph.t -> unit ->
-  rebuild_report
-(** Rebuild the site over changed data, reusing unchanged pages of
-    [previous] without re-rendering them.  Pages match between builds
-    by Skolem-term name.  By default reuse is decided by neighbourhood
-    fingerprints to [depth]; with [cache] it is decided by replaying
-    each cached page's recorded read set against the new site graph —
-    exact invalidation — and re-renders run through
-    {!Render_pool.materialize} with [jobs] domains, storing fresh
-    traces back into [cache].
-
-    With [~on_error:Degrade], failed re-renders become placeholder
-    pages with recorded faults (see {!Render_pool.materialize}); a
-    previous build's placeholder is never reused even when its
-    fingerprint matches, so the page re-renders for real once the
-    fault clears. *)
+    re-evaluation is skipped and only page materialization runs
+    ({!Site.of_site_graph}), against the cross-epoch [cache] whose
+    verifying read traces invalidate exactly the pages whose rendering
+    observed the change.  [touched]/[removed] are the site-node names
+    the delta cycle reported; when both are empty the previous build's
+    pages are reused wholesale.  Schemas and query profiles are carried
+    over from [previous] (the maintained graph's queries have not
+    changed).  Output is byte-identical to a cold {!Site.build} over
+    the same data. *)

@@ -1,7 +1,7 @@
 (** Materialization strategies for STRUDEL sites (§1, §6, [FER 98c]).
 
     The "Web site as view" spectrum:
-    - {!full}: materialize the complete site before browsing (the
+    - {!Site.build}: materialize the complete site before browsing (the
       prototype's default — warehouse-style, maximal up-front cost,
       minimal click latency);
     - {!Click_time}: precompute only the root(s) of the site, then
@@ -14,11 +14,6 @@
 
 open Sgraph
 open Struql
-
-(* --- Full materialization --- *)
-
-let full ?jobs ?render_cache ?file_loader ~data (def : Site.definition) =
-  Site.build ?jobs ?render_cache ?file_loader ~data def
 
 (* --- Click-time evaluation --- *)
 
@@ -293,11 +288,9 @@ module Click_time = struct
 
   type browse_error =
     | Unknown_object of string
-        (** the oid is not a node of this session's site graph — the
-            serving layer's 404 *)
+        (** the oid is not a node of this session's site graph *)
     | Render_failed of string
-        (** the generator raised; the page is isolated — the serving
-            layer's 503 *)
+        (** the generator raised; the page is isolated *)
 
   exception Browse_error of browse_error
 
@@ -308,12 +301,8 @@ module Click_time = struct
   (** Expand the node (and, for embedded content, its immediate
       successors) and render just that page, as a structured result: an
       oid outside the session's site graph or a generator exception
-      becomes an [Error], never an escape — one crashing page must not
-      take down a serving worker.  [compiled] lets each caller thread of
-      control own its template-compilation cache (the session-wide one
-      is not domain-safe); [trace_reads] defaults to the session's
-      caching mode. *)
-  let render_page ?compiled ?trace_reads t (o : Oid.t) :
+      becomes an [Error], never an escape. *)
+  let render_page t (o : Oid.t) :
       (Template.Generator.rendered, browse_error) result =
     if not (Graph.mem_node t.partial o) then Error (Unknown_object (Oid.name o))
     else begin
@@ -322,23 +311,15 @@ module Click_time = struct
         (fun (_, tgt) ->
           match tgt with Graph.N n -> expand t n | Graph.V _ -> ())
         (Graph.out_edges t.partial o);
-      let compiled = match compiled with Some c -> c | None -> t.compiled in
-      let trace_reads =
-        match trace_reads with Some b -> b | None -> t.cache_pages
-      in
       match
         Template.Generator.render_page_full
-          ~templates:t.def.Site.templates ~compiled ~trace_reads t.partial o
+          ~templates:t.def.Site.templates ~compiled:t.compiled
+          ~trace_reads:t.cache_pages t.partial o
       with
       | r -> Ok r
-      | exception Template.Generator.Generator_error msg ->
-        Error (Render_failed msg)
-      | exception Template.Tparse.Template_error msg ->
-        Error (Render_failed msg)
-      | exception Fault.Inject.Injected msg -> Error (Render_failed msg)
       | exception ((Out_of_memory | Stack_overflow | Sys.Break) as e) ->
         raise e
-      | exception e -> Error (Render_failed (Printexc.to_string e))
+      | exception e -> Error (Render_failed (Template.Generator.fault_cause e))
     end
 
   let try_browse t (o : Oid.t) : (string, browse_error) result =

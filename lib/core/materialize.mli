@@ -1,7 +1,7 @@
 (** Materialization strategies for STRUDEL sites (§1, §6, [FER 98c]) —
     the "Web site as view" spectrum.
 
-    {!full} materializes the complete site before browsing (the
+    {!Site.build} materializes the complete site before browsing (the
     prototype's default).  {!Click_time} precomputes only the root(s):
     the site-definition query is decomposed through the site schema
     into one node-expansion query per Skolem family, and when the user
@@ -11,14 +11,6 @@
     the full build's. *)
 
 open Sgraph
-
-val full :
-  ?jobs:int ->
-  ?render_cache:Render_cache.t ->
-  ?file_loader:(string -> string option) ->
-  data:Graph.t -> Site.definition -> Site.built
-(** {!Site.build}: [jobs] parallelizes page rendering over OCaml
-    domains; [render_cache] reuses pages whose read traces verify. *)
 
 module Click_time : sig
   type t = {
@@ -56,28 +48,20 @@ module Click_time : sig
 
   type browse_error =
     | Unknown_object of string
-        (** the oid is not a node of this session's site graph — the
-            serving layer's 404 *)
+        (** the oid is not a node of this session's site graph *)
     | Render_failed of string
-        (** the generator raised; the page is isolated — the serving
-            layer's 503 *)
+        (** the generator raised; the page is isolated *)
 
   exception Browse_error of browse_error
 
   val browse_error_message : browse_error -> string
 
   val render_page :
-    ?compiled:Template.Generator.compiled ->
-    ?trace_reads:bool ->
-    t -> Oid.t ->
-    (Template.Generator.rendered, browse_error) result
+    t -> Oid.t -> (Template.Generator.rendered, browse_error) result
   (** Expand the node and its immediate successors, then render just
       that page, as a structured result: an unknown oid or a generator
-      exception becomes an [Error], never an escape.  [compiled] lets a
-      caller thread of control (a serving worker domain) own its
-      template-compilation cache; [trace_reads] defaults to the
-      session's caching mode.  Does not consult or fill the page
-      cache. *)
+      exception ({!Template.Generator.fault_cause}) becomes an [Error],
+      never an escape.  Does not consult or fill the page cache. *)
 
   val try_browse : t -> Oid.t -> (string, browse_error) result
   (** {!browse} with structured errors, through the page cache when

@@ -5,8 +5,8 @@
     [Domain.spawn]/[Domain.join] cycle dominated parallel
     materialization at small and medium site sizes.  This pool spawns
     workers once, parks them on a condition variable between jobs, and
-    reuses them across builds: {!Render_pool.materialize},
-    {!Incremental.rebuild} and the bench harness all share {!shared},
+    reuses them across builds: {!Render_pool.materialize}, the
+    [strudeld] daemon and the bench harness all share {!shared},
     so only the first parallel build of a process pays the spawn cost.
 
     {!run} executes one {e job}: [f w] for every worker index

@@ -106,14 +106,13 @@ let build_site_graph ?scope ?shards ?into def (data : Graph.t) =
 let roots_of site_graph family =
   Schema.Verify.family_members site_graph family
 
-let build ?jobs ?render_cache ?file_loader ?on_error ?fault ?shards ?sink
-    ~data (def : definition) : built =
-  Log.debug (fun m ->
-      m "building site %s over %a" def.name Graph.pp_stats data);
-  let site_graph, scope, schemas, query_stats =
-    build_site_graph ?shards def data
-  in
-  Log.debug (fun m -> m "site graph: %a" Graph.pp_stats site_graph);
+(** Turn an evaluated site graph into a [built]: the roots check, page
+    materialization, constraint verification and the record.  Every
+    producer of a [built] — the cold {!build}, [strudel watch]'s first
+    publish and its delta publishes — ends here. *)
+let of_site_graph ?jobs ?render_cache ?dirty ?refreeze ?file_loader ?on_error
+    ?fault ?sink ~data ~scope ~schemas ~query_stats (def : definition)
+    site_graph : built =
   let roots = roots_of site_graph def.root_family in
   if roots = [] then
     raise
@@ -121,8 +120,9 @@ let build ?jobs ?render_cache ?file_loader ?on_error ?fault ?shards ?sink
          (Printf.sprintf "no pages of root family %s in site graph %s"
             def.root_family def.name));
   let site, render_profile =
-    Render_pool.materialize ?jobs ?cache:render_cache ?file_loader ?on_error
-      ?fault ?sink ~templates:def.templates site_graph ~roots
+    Render_pool.materialize ?jobs ?cache:render_cache ?dirty ?file_loader
+      ?on_error ?fault ?sink ?refreeze ~templates:def.templates site_graph
+      ~roots
   in
   let verification = Schema.Verify.check_all_site site_graph def.constraints in
   List.iter
@@ -150,6 +150,17 @@ let build ?jobs ?render_cache ?file_loader ?on_error ?fault ?shards ?sink
     render_profile;
     faults = (match fault with Some c -> Fault.reports c | None -> []);
   }
+
+let build ?jobs ?render_cache ?file_loader ?on_error ?fault ?shards ?sink
+    ~data (def : definition) : built =
+  Log.debug (fun m ->
+      m "building site %s over %a" def.name Graph.pp_stats data);
+  let site_graph, scope, schemas, query_stats =
+    build_site_graph ?shards def data
+  in
+  Log.debug (fun m -> m "site graph: %a" Graph.pp_stats site_graph);
+  of_site_graph ?jobs ?render_cache ?file_loader ?on_error ?fault ?sink ~data
+    ~scope ~schemas ~query_stats def site_graph
 
 (** The machine-readable outcome of a build: site name, status
     ([Clean]/[Degraded]) and the recorded faults — what the CLI writes

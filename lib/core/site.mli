@@ -75,6 +75,29 @@ val build_site_graph :
 val roots_of : Graph.t -> string -> Oid.t list
 (** Members of the root Skolem family in a site graph. *)
 
+val of_site_graph :
+  ?jobs:int ->
+  ?render_cache:Render_cache.t ->
+  ?dirty:(string -> bool) ->
+  ?refreeze:bool ->
+  ?file_loader:(string -> string option) ->
+  ?on_error:Fault.on_error ->
+  ?fault:Fault.ctx ->
+  ?sink:Render_pool.sink ->
+  data:Graph.t ->
+  scope:Skolem.t ->
+  schemas:(string * Schema.Site_schema.t) list ->
+  query_stats:Struql.Exec.profile list ->
+  definition ->
+  Graph.t ->
+  built
+(** The one constructor of a [built] from an evaluated site graph:
+    raises {!Build_error} when the root family is empty, materializes
+    the pages through {!Render_pool.materialize} (the optional
+    arguments are its own), verifies the declared constraints and
+    snapshots [fault]'s reports.  {!build} calls it after evaluating
+    the queries; [strudel watch] calls it on its maintained graph. *)
+
 val build :
   ?jobs:int ->
   ?render_cache:Render_cache.t ->

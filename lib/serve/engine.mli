@@ -2,28 +2,32 @@
 
     One engine serves one site definition over either a static data
     graph or a warehousing mediator.  Per {e epoch} (one consistent
-    integration) it keeps an immutable serving state: a click-time
-    session over the pinned graph, expanded once at install time so the
-    site {e structure} is materialized per epoch while page {e HTML}
-    stays click-time — rendered on first request through the verifying
-    render cache, revalidated with ETags.
+    integration) it keeps an immutable serving state built exactly as a
+    cold build builds it: {!Strudel.Site.build_site_graph} over the
+    pinned data, one {!Sgraph.Graph.freeze}, and a route table of the
+    nodes reachable from the root family.  The site {e structure} is
+    thus materialized per epoch while page {e HTML} stays click-time —
+    rendered on first request through the verifying render cache,
+    revalidated with ETags.  A node no root leads to has no route (404),
+    as it has no page in a full build.
 
     A request pins the current epoch state with one atomic read and
     works against that snapshot for its whole lifetime; {!refresh}
     builds the next epoch completely off to the side (warehouse
-    refresh under snapshot isolation, then a fresh click-time session
-    and route table) and installs it with one atomic swap — no request
-    ever observes a half-refreshed view.  The render cache is shared
-    across epochs and keyed by page {e name} with verifying read
-    traces, so a swap invalidates exactly the pages whose reads
-    changed: unchanged pages keep hitting, changed ones re-render.
+    refresh under snapshot isolation, then a fresh site graph and route
+    table) and installs it with one atomic swap — no request ever
+    observes a half-refreshed view.  The render cache is shared across
+    epochs and keyed by page {e name} with verifying read traces, so a
+    swap invalidates exactly the pages whose reads changed: unchanged
+    pages keep hitting, changed ones re-render.
 
-    Render failures are structured ({!Strudel.Materialize.Click_time.render_page}):
-    a failing page answers [503] with the fault manifest as body and
-    trips its per-page circuit {!Breaker}; a quarantined source keeps
-    its last integrated data serving (the warehouse's stale-snapshot
-    policy) and is reported on [/healthz] — degradation is always
-    page- or source-scoped, never process-wide. *)
+    Render failures are values, never escapes: a failing page answers
+    [503] with the fault manifest as body (its cause worded by
+    {!Template.Generator.fault_cause}, as in a degraded build) and trips
+    its per-page circuit {!Breaker}; a quarantined source keeps its last
+    integrated data serving (the warehouse's stale-snapshot policy) and
+    is reported on [/healthz] — degradation is always page- or
+    source-scoped, never process-wide. *)
 
 open Sgraph
 

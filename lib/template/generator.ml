@@ -206,9 +206,9 @@ let max_embed_depth = 32
 
    When a page render fails under [~on_error:Degrade], the site still
    ships: the failed page is replaced by a small error page carrying a
-   deterministic marker comment, so placeholders can be recognized
-   (and never reused) by the incremental rebuilder and are never stored
-   in the render cache. *)
+   deterministic marker comment, so placeholders can be recognized and
+   are never stored in the render cache.  [fault_cause] is the one
+   exception-to-cause wording for every render path. *)
 
 let fault_marker = "<!-- strudel:fault -->"
 
@@ -224,6 +224,12 @@ let placeholder_page ~url ~cause (o : Oid.t) : page =
 let is_placeholder (p : page) =
   String.length p.body >= String.length fault_marker
   && String.sub p.body 0 (String.length fault_marker) = fault_marker
+
+let fault_cause = function
+  | Fault.Inject.Injected m -> m
+  | Generator_error m -> m
+  | Tparse.Template_error m -> "template error: " ^ m
+  | e -> Printexc.to_string e
 
 (** Generate the browsable site.  [roots] are the objects realized as
     pages up front; any object referenced with the default (link)
@@ -322,13 +328,7 @@ let generate ?(file_loader = fun _ -> None) ?(templates = empty_templates)
       | Fault.Degrade -> (
         try render ()
         with e ->
-          let cause =
-            match e with
-            | Fault.Inject.Injected m -> m
-            | Generator_error m -> m
-            | Tparse.Template_error m -> "template error: " ^ m
-            | e -> Printexc.to_string e
-          in
+          let cause = fault_cause e in
           (match fault with
            | Some c ->
              Fault.record c
@@ -354,8 +354,8 @@ type rendered = {
 (** Render a single object's page without materializing the rest of the
     site: links to internal objects get their deterministic URLs (slug
     of the object name) but the linked pages are not generated.  This
-    is the rendering primitive of the click-time evaluator, the
-    incremental rebuilder and the parallel render pool.  [compiled]
+    is the rendering primitive of the click-time evaluator, [strudeld]
+    and the parallel render pool.  [compiled]
     shares the template-compilation cache across pages (one per domain
     in the parallel pool); [trace_reads] records the page's read set for
     the render cache; the referenced-object list is always recorded. *)

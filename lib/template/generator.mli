@@ -84,8 +84,12 @@ val placeholder_page : url:string -> cause:string -> Oid.t -> page
     [~on_error:Degrade]. *)
 
 val is_placeholder : page -> bool
-(** Whether the page is a degraded-build placeholder (so caches and the
-    incremental rebuilder never reuse one as a real page). *)
+(** Whether the page is a degraded-build placeholder (so caches never
+    reuse one as a real page). *)
+
+val fault_cause : exn -> string
+(** The fault-report cause of a failed page render — the one wording
+    shared by built placeholders, click-time errors and served 503s. *)
 
 val generate :
   ?file_loader:(string -> string option) ->
@@ -123,8 +127,8 @@ val render_page_full :
   ?trace_reads:bool ->
   Graph.t -> Oid.t -> rendered
 (** Render a single object's page without materializing the rest of the
-    site — the rendering primitive of the click-time evaluator, the
-    incremental rebuilder and the parallel render pool.  Links to
+    site — the rendering primitive of the click-time evaluator,
+    [strudeld] and the parallel render pool.  Links to
     internal objects get their deterministic URL ([slug name ^
     ".html"]) but the linked pages are not generated. *)
 

@@ -1,5 +1,5 @@
 (* Correctness of the dependency-tracked render cache: cache-assisted
-   incremental rebuilds must equal cold full builds page-for-page under
+   rebuilds ([Site.build ~render_cache]) must equal cold full builds under
    random edit scripts; traces must hit on unchanged graphs, invalidate
    exactly on observed reads, and die wholesale on template changes. *)
 
@@ -17,56 +17,111 @@ let articles = Test_end_to_end_props.articles
 let cache_rebuild_equals_full ~jobs muts =
   let data0 = Sites.Cnn.data ~articles () in
   let cache = Strudel.Render_cache.create () in
-  let previous =
-    Strudel.Site.build ~render_cache:cache ~data:data0 Sites.Cnn.definition
-  in
+  ignore
+    (Strudel.Site.build ~render_cache:cache ~data:data0 Sites.Cnn.definition);
   let data1 = Sites.Cnn.data ~articles () in
   Test_end_to_end_props.apply_mutations data1 articles muts;
   let inc =
-    Strudel.Incremental.rebuild ~jobs ~cache ~previous ~data:data1 ()
+    Strudel.Site.build ~jobs ~render_cache:cache ~data:data1
+      Sites.Cnn.definition
   in
   let full = Strudel.Site.build ~data:data1 Sites.Cnn.definition in
-  page_map inc.Strudel.Incremental.built.Strudel.Site.site
-  = page_map full.Strudel.Site.site
+  page_map inc.Strudel.Site.site = page_map full.Strudel.Site.site
 
 (* --- unit tests --- *)
+
+let profile (b : Strudel.Site.built) = b.Strudel.Site.render_profile
+let rendered b = (profile b).Strudel.Render_pool.rp_rendered
+let pages b = (profile b).Strudel.Render_pool.rp_pages
 
 let no_change_all_hits () =
   let data = Sites.Cnn.data ~articles:12 () in
   let cache = Strudel.Render_cache.create () in
-  let previous =
-    Strudel.Site.build ~render_cache:cache ~data Sites.Cnn.definition
-  in
+  ignore (Strudel.Site.build ~render_cache:cache ~data Sites.Cnn.definition);
   Strudel.Render_cache.reset_stats cache;
-  let report = Strudel.Incremental.rebuild ~cache ~previous ~data () in
-  check_int "every page reused" report.Strudel.Incremental.pages_total
-    report.Strudel.Incremental.pages_reused;
-  check_int "nothing re-rendered" 0
-    report.Strudel.Incremental.pages_rerendered;
+  let b = Strudel.Site.build ~render_cache:cache ~data Sites.Cnn.definition in
+  check_int "nothing re-rendered" 0 (rendered b);
   let hits, _, invalidations = Strudel.Render_cache.stats cache in
-  check_int "all hits" report.Strudel.Incremental.pages_total hits;
+  check_int "all hits" (pages b) hits;
   check_int "no invalidations" 0 invalidations
 
 let targeted_invalidation () =
   let data0 = Sites.Cnn.data ~articles:12 () in
   let cache = Strudel.Render_cache.create () in
-  let previous =
-    Strudel.Site.build ~render_cache:cache ~data:data0 Sites.Cnn.definition
-  in
+  ignore
+    (Strudel.Site.build ~render_cache:cache ~data:data0 Sites.Cnn.definition);
   Strudel.Render_cache.reset_stats cache;
   let data1 = Sites.Cnn.data ~articles:12 () in
   Test_end_to_end_props.apply_mutations data1 12
     [ Test_end_to_end_props.Set_headline (3, "Hedited") ];
-  let report = Strudel.Incremental.rebuild ~cache ~previous ~data:data1 () in
+  let b = Strudel.Site.build ~render_cache:cache ~data:data1 Sites.Cnn.definition in
   let _, _, invalidations = Strudel.Render_cache.stats cache in
   check_bool "some page invalidated" true (invalidations >= 1);
-  check_bool "but not the whole site" true
-    (report.Strudel.Incremental.pages_rerendered
-    < report.Strudel.Incremental.pages_total);
+  check_bool "but not the whole site" true (rendered b < pages b);
   let full = Strudel.Site.build ~data:data1 Sites.Cnn.definition in
   check_bool "equals cold full build" true
-    (page_map report.Strudel.Incremental.built.Strudel.Site.site
-    = page_map full.Strudel.Site.site)
+    (page_map b.Strudel.Site.site = page_map full.Strudel.Site.site)
+
+(* Warm-cache rebuilds over edited data: a cold build over [before]
+   fills the cache, [Site.build ~render_cache] over [after] must emit
+   exactly a cold build's pages (order included) and re-render what
+   [expect] says, given the page count before the edit. *)
+let rebuild_cases =
+  let cnn n () = Sites.Cnn.data ~articles:n () in
+  let edited n edit () =
+    let g = Sites.Cnn.data ~articles:n () in
+    edit g;
+    g
+  in
+  [
+    ( "identical data reuses every page",
+      Sites.Cnn.definition, cnn 40, cnn 40,
+      fun ~before:_ b -> rendered b = 0 );
+    ( "changed headline equals a cold build",
+      Sites.Cnn.definition, cnn 40,
+      edited 40 (fun g ->
+          match Graph.find_node g "art3" with
+          | Some a ->
+            Graph.add_edge g a "headline"
+              (Graph.V (Value.String "CHANGED headline"))
+          | None -> Alcotest.fail "missing art3"),
+      fun ~before:_ b -> rendered b > 0 );
+    ( "one edit re-renders a few pages",
+      Sites.Cnn.definition, cnn 60,
+      edited 60 (fun g ->
+          match Graph.find_node g "art5" with
+          | Some a -> Graph.add_edge g a "body" (Graph.V (Value.String "new body"))
+          | None -> Alcotest.fail "missing art5"),
+      fun ~before:_ b -> rendered b > 0 && rendered b * 4 < pages b );
+    ( "added object renders its new pages",
+      Sites.Cnn.definition, cnn 20, cnn 21,
+      fun ~before b -> rendered b > 0 && pages b > before );
+    ( "removed attribute invalidates its page",
+      Sites.Paper_example.definition, Sites.Paper_example.data,
+      (fun () ->
+        let g = Sites.Paper_example.data () in
+        let p1 = Option.get (Graph.find_node g "pub1") in
+        Graph.remove_edge g p1 "journal"
+          (Graph.V
+             (Value.String "Transactions on Programming Languages and Systems"));
+        g),
+      fun ~before:_ b -> rendered b > 0 );
+  ]
+
+let rebuild_case (name, def, before, after, expect) =
+  t ("warm-cache rebuild: " ^ name) (fun () ->
+      let cache = Strudel.Render_cache.create () in
+      let previous =
+        Strudel.Site.build ~render_cache:cache ~data:(before ()) def
+      in
+      let data = after () in
+      let b = Strudel.Site.build ~render_cache:cache ~data def in
+      let cold = Strudel.Site.build ~data def in
+      check_bool "pages equal a cold build's, in order" true
+        (Test_parallel.page_triples b.Strudel.Site.site
+        = Test_parallel.page_triples cold.Strudel.Site.site);
+      check_bool "re-rendered as expected" true
+        (expect ~before:(pages previous) b))
 
 let template_change_clears () =
   let data = Sites.Cnn.data ~articles:8 () in
@@ -184,3 +239,4 @@ let suite =
     t "click-time revisits hit; partial-graph edits invalidate"
       clicktime_hit_and_invalidation;
   ]
+  @ List.map rebuild_case rebuild_cases

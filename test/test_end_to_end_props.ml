@@ -72,16 +72,6 @@ let apply_mutations g articles muts =
 
 let articles = 15
 
-let incremental_equals_full muts =
-  let data0 = Sites.Cnn.data ~articles () in
-  let previous = Strudel.Site.build ~data:data0 Sites.Cnn.definition in
-  let data1 = Sites.Cnn.data ~articles () in
-  apply_mutations data1 articles muts;
-  let inc = Strudel.Incremental.rebuild ~previous ~data:data1 () in
-  let full = Strudel.Site.build ~data:data1 Sites.Cnn.definition in
-  page_map inc.Strudel.Incremental.built.Strudel.Site.site
-  = page_map full.Strudel.Site.site
-
 let clicktime_equals_full muts =
   let data = Sites.Cnn.data ~articles () in
   apply_mutations data articles muts;
@@ -142,10 +132,6 @@ let muts_arb =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make
-         ~name:"incremental rebuild equals full rebuild (random mutations)"
-         ~count:25 muts_arb incremental_equals_full);
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make
          ~name:"click-time pages equal full pages (random mutations)"

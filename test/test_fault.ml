@@ -510,30 +510,28 @@ let recovery_restores_clean_bytes =
             job_levels))
     (Test_parallel.sites_under_test ())
 
-let incremental_rerenders_placeholders () =
+let cache_rebuild_rerenders_placeholders () =
   let data = Wrappers.Synth.news_graph ~articles:12 () in
   let def = Sites.Cnn.definition in
   let clean = Strudel.Site.build ~data def in
+  let cache = Strudel.Render_cache.create () in
   let inject = Fault.Inject.create ~seed:7 ~p_render:0.5 () in
   let fault = Fault.ctx ~inject () in
   let degraded =
-    Strudel.Site.build ~on_error:Fault.Degrade ~fault ~data def
+    Strudel.Site.build ~render_cache:cache ~on_error:Fault.Degrade ~fault
+      ~data def
   in
   let broken = placeholder_count degraded.Strudel.Site.site in
   check_bool "degraded build has placeholders" true (broken > 0);
-  (* incremental rebuild over unchanged data, faults gone: fingerprints
-     all match, but placeholders must not be reused *)
-  let report =
-    Strudel.Incremental.rebuild ~previous:degraded ~data ()
-  in
-  check_bool "placeholders re-rendered despite matching fingerprints" true
-    (report.Strudel.Incremental.pages_rerendered >= broken);
-  (* incremental page order is candidate order, not generator discovery
-     order (the discipline of the incremental suite): compare sorted *)
-  let sorted b = List.sort compare (Test_parallel.page_triples b) in
-  check_bool "incremental recovery restores clean bytes" true
-    (sorted report.Strudel.Incremental.built.Strudel.Site.site
-    = sorted clean.Strudel.Site.site)
+  (* warm-cache rebuild over unchanged data, faults gone: every real
+     page's trace verifies, but placeholders never entered the cache *)
+  let recovered = Strudel.Site.build ~render_cache:cache ~data def in
+  check_bool "placeholders re-rendered despite unchanged data" true
+    (recovered.Strudel.Site.render_profile.Strudel.Render_pool.rp_rendered
+     >= broken);
+  check_bool "cache-assisted recovery restores clean bytes" true
+    (Test_parallel.page_triples recovered.Strudel.Site.site
+    = Test_parallel.page_triples clean.Strudel.Site.site)
 
 (* --- determinism of the harness --- *)
 
@@ -688,8 +686,8 @@ let suite =
   @ [ t "seed 42 injects faults somewhere" injection_actually_fires ]
   @ recovery_restores_clean_bytes
   @ [
-      t "incremental rebuild re-renders placeholders"
-        incremental_rerenders_placeholders;
+      t "cache-assisted rebuild re-renders placeholders"
+        cache_rebuild_rerenders_placeholders;
       t "same seed, same faults, same bytes" injection_is_deterministic;
       t "targeted injection spares other sources"
         targeted_injection_scopes_faults;

@@ -62,6 +62,23 @@ let await ?(timeout = 10.) msg cond =
   in
   go ()
 
+(* [Domain.spawn]/[Domain.join] with the fork and the join reported to
+   the race sanitizer, so what the test reads after [join] (e.g. the
+   daemon's exit code) is ordered after the child's writes. *)
+let spawn f =
+  let tok = Dsan.fork () in
+  let d =
+    Domain.spawn (fun () ->
+        Dsan.born tok;
+        Fun.protect ~finally:(fun () -> Dsan.dying tok) f)
+  in
+  (d, tok)
+
+let join (d, tok) =
+  let r = Domain.join d in
+  Dsan.joined tok;
+  r
+
 (* --- the mini federated site used by the epoch tests --- *)
 
 let mini_query =
@@ -115,6 +132,16 @@ let mini_data items =
   Mediator.Warehouse.graph w
 
 let mini_built items = Strudel.Site.build ~data:(mini_data items) mini_def
+
+(* The route oracle: URLs of the nodes reachable from the roots of a
+   cold build's site graph over [data]. *)
+let reachable_urls def data =
+  let b = Strudel.Site.build ~data def in
+  let g = b.Strudel.Site.site_graph in
+  Algo.reachable g (Strudel.Site.roots_of g def.Strudel.Site.root_family)
+  |> Oid.Set.elements
+  |> List.map (fun o -> Template.Generator.slug (Oid.name o) ^ ".html")
+  |> List.sort_uniq compare
 
 let body_of resp = resp.Http.resp_body
 let status_of resp = resp.Http.status
@@ -461,6 +488,99 @@ let engine_static_tests =
             mini_def
         in
         check_int "recovered" 200 (status_of (get e2 url)));
+    t "a failed render reports the same cause built and served" (fun () ->
+        let items = [ ("x1", "one"); ("x2", "two") ] in
+        let built = mini_built items in
+        let victim =
+          List.find
+            (fun (p : Template.Generator.page) ->
+              contains ~needle:"x1" (Oid.name p.Template.Generator.obj))
+            built.Strudel.Site.site.Template.Generator.pages
+        in
+        let inject =
+          Fault.Inject.create ~seed:7 ~p_render:1.0
+            ~targets:[ Oid.name victim.Template.Generator.obj ] ()
+        in
+        Fault.Inject.arm inject;
+        let render_causes c =
+          List.filter_map
+            (fun (r : Fault.report) ->
+              if r.Fault.f_stage = Fault.Render then Some r.Fault.f_cause
+              else None)
+            (Fault.reports c)
+        in
+        let at_build = Fault.ctx ~inject () in
+        ignore
+          (Strudel.Site.build ~on_error:Fault.Degrade ~fault:at_build
+             ~data:(mini_data items) mini_def);
+        let at_serve = Fault.ctx ~inject () in
+        let e =
+          Engine.create ~fault:at_serve ~source:(Engine.Static (mini_data items))
+            mini_def
+        in
+        check_int "503" 503
+          (status_of (get e ("/" ^ victim.Template.Generator.url)));
+        Fault.Inject.disarm inject;
+        let built_causes = render_causes at_build in
+        check_int "one built fault" 1 (List.length built_causes);
+        Alcotest.(check (list string)) "served cause = built cause" built_causes
+          (render_causes at_serve));
+  ]
+
+(* Equal sets: the engine routes exactly [urls] (as many routes as
+   URLs, and every URL answers). *)
+let check_routes what e urls =
+  check_int (what ^ ": route count") (List.length urls) (Engine.page_count e);
+  List.iter
+    (fun u -> check_int (what ^ ": routed " ^ u) 200 (status_of (get e ("/" ^ u))))
+    urls
+
+let orphan_def =
+  Strudel.Site.define ~name:"mini-orphan" ~root_family:"RootPage"
+    ~templates:mini_templates
+    [ ("site", mini_query);
+      ("orphans", "{ WHERE As(x) CREATE Orphan(x) }\nOUTPUT MINI") ]
+
+let engine_route_tests =
+  [
+    t "routes equal the nodes reachable from a cold build's roots"
+      (fun () ->
+        List.iter
+          (fun (what, def, data) ->
+            let e = Engine.create ~source:(Engine.Static (data ())) def in
+            check_routes what e (reachable_urls def (data ())))
+          [ ("paper", Sites.Paper_example.definition, Sites.Paper_example.data);
+            ("homepage", Sites.Homepage.definition,
+             fun () -> Sites.Homepage.data ()) ]);
+    t "routes follow every refresh" (fun () ->
+        let items1 = [ ("x1", "one"); ("x2", "two") ] in
+        let items2 = [ ("x2", "two"); ("x3", "three"); ("x4", "four") ] in
+        let s, w = mini_warehouse items1 in
+        let e = Engine.create ~source:(Engine.Federated w) mini_def in
+        check_routes "epoch 1" e (reachable_urls mini_def (mini_data items1));
+        Mediator.Source.update s (fun () -> mini_graph items2);
+        check_bool "refreshed" true (Engine.refresh e);
+        let urls2 = reachable_urls mini_def (mini_data items2) in
+        check_routes "epoch 2" e urls2;
+        check_bool "x1's page is gone" false
+          (List.exists (fun u -> contains ~needle:"x1" u) urls2));
+    t "a Skolem node no root links to answers 404" (fun () ->
+        let data () = mini_data [ ("x1", "one") ] in
+        let built = Strudel.Site.build ~data:(data ()) orphan_def in
+        let orphans =
+          List.filter
+            (fun o -> contains ~needle:"Orphan" (Oid.name o))
+            (Graph.nodes built.Strudel.Site.site_graph)
+        in
+        check_int "the site graph has the orphan" 1 (List.length orphans);
+        let url = Template.Generator.slug (Oid.name (List.hd orphans)) ^ ".html" in
+        check_bool "a full build gives it no page" false
+          (List.exists
+             (fun (p : Template.Generator.page) -> p.Template.Generator.url = url)
+             built.Strudel.Site.site.Template.Generator.pages);
+        let e = Engine.create ~source:(Engine.Static (data ())) orphan_def in
+        check_int "404" 404 (status_of (get e ("/" ^ url)));
+        check_routes "orphan site" e (reachable_urls orphan_def (data ())));
   ]
 
 let engine_epoch_tests =
@@ -614,11 +734,11 @@ let daemon_tests =
         let sc = mk_conn (get_wire "/a" ^ get_wire "/b") in
         let listener, closed = mk_listener [ sc.conn ] in
         let d = Daemon.create ~handler:ok_handler () in
-        let srv = Domain.spawn (fun () -> Daemon.serve d listener) in
+        let srv = spawn (fun () -> Daemon.serve d listener) in
         await "both responses" (fun () ->
             (Daemon.stats d).Daemon.d_served >= 2);
         Daemon.stop d;
-        Domain.join srv;
+        join srv;
         check_int "exit 0" 0 (Daemon.exit_code d);
         check_bool "listener closed" true !closed;
         check_int "served" 2 (Daemon.stats d).Daemon.d_served;
@@ -639,7 +759,7 @@ let daemon_tests =
           { Daemon.default_config with workers = 1; max_inflight = 1 }
         in
         let d = Daemon.create ~config ~handler () in
-        let srv = Domain.spawn (fun () -> Daemon.serve d listener) in
+        let srv = spawn (fun () -> Daemon.serve d listener) in
         await "A in flight" entered;
         await "B shed" (fun () -> (Daemon.stats d).Daemon.d_shed >= 1);
         let bout = output b in
@@ -649,7 +769,7 @@ let daemon_tests =
         release ();
         await "A served" (fun () -> (Daemon.stats d).Daemon.d_served >= 1);
         Daemon.stop d;
-        Domain.join srv;
+        join srv;
         check_bool "A answered after the shed" true
           (contains ~needle:"late" (output a));
         check_int "exit 0" 0 (Daemon.exit_code d));
@@ -667,11 +787,11 @@ let daemon_tests =
             clock }
         in
         let d = Daemon.create ~config ~handler () in
-        let srv = Domain.spawn (fun () -> Daemon.serve d listener) in
+        let srv = spawn (fun () -> Daemon.serve d listener) in
         await "deadline hit" (fun () ->
             (Daemon.stats d).Daemon.d_deadlines >= 1);
         Daemon.stop d;
-        Domain.join srv;
+        join srv;
         let out = output sc in
         check_bool "503 deadline" true
           (contains ~needle:"HTTP/1.1 503" out
@@ -681,11 +801,11 @@ let daemon_tests =
         let sc = mk_conn ~mode:`Read_times_out "" in
         let listener, _ = mk_listener [ sc.conn ] in
         let d = Daemon.create ~handler:ok_handler () in
-        let srv = Domain.spawn (fun () -> Daemon.serve d listener) in
+        let srv = spawn (fun () -> Daemon.serve d listener) in
         await "timeout counted" (fun () ->
             (Daemon.stats d).Daemon.d_timeouts >= 1);
         Daemon.stop d;
-        Domain.join srv;
+        join srv;
         check_bool "408 written" true
           (contains ~needle:"HTTP/1.1 408" (output sc));
         check_int "exit 0" 0 (Daemon.exit_code d));
@@ -696,13 +816,13 @@ let daemon_tests =
         let listener, _ = mk_listener [ gone.conn; fine.conn ] in
         let config = { Daemon.default_config with workers = 1 } in
         let d = Daemon.create ~config ~handler:ok_handler () in
-        let srv = Domain.spawn (fun () -> Daemon.serve d listener) in
+        let srv = spawn (fun () -> Daemon.serve d listener) in
         await "abort counted" (fun () ->
             (Daemon.stats d).Daemon.d_client_aborts >= 1);
         await "next conn served" (fun () ->
             (Daemon.stats d).Daemon.d_served >= 1);
         Daemon.stop d;
-        Domain.join srv;
+        join srv;
         check_bool "b got its answer" true
           (contains ~needle:"HTTP/1.1 200" (output fine));
         check_int "exit 0, aborts are not failures" 0 (Daemon.exit_code d));
@@ -718,7 +838,7 @@ let daemon_tests =
         let listener, closed = mk_listener [ inflight.conn ] in
         let d = Daemon.create ~handler () in
         Daemon.install_signal_handlers d;
-        let srv = Domain.spawn (fun () -> Daemon.serve d listener) in
+        let srv = spawn (fun () -> Daemon.serve d listener) in
         await "request in flight" entered;
         Unix.kill (Unix.getpid ()) Sys.sigterm;
         await "drain begins" (fun () -> Daemon.stopping d);
@@ -726,7 +846,7 @@ let daemon_tests =
         (* a connection arriving now is never accepted *)
         ignore late;
         release ();
-        Domain.join srv;
+        join srv;
         Sys.set_signal Sys.sigterm Sys.Signal_default;
         Sys.set_signal Sys.sigint Sys.Signal_default;
         check_bool "in-flight completed" true
@@ -747,14 +867,14 @@ let daemon_tests =
           { Daemon.default_config with workers = 1; drain_deadline_ms = 0. }
         in
         let d = Daemon.create ~config ~handler () in
-        let srv = Domain.spawn (fun () -> Daemon.serve d listener) in
+        let srv = spawn (fun () -> Daemon.serve d listener) in
         await "in flight" entered;
         Daemon.stop d;
         await "force-closed" (fun () ->
             (Daemon.stats d).Daemon.d_aborted_inflight >= 1);
         check_bool "conn closed under the worker" true !(sc.sc_closed);
         release ();
-        Domain.join srv;
+        join srv;
         check_int "exit 4" 4 (Daemon.exit_code d));
     t "degraded drain exits 3" (fun () ->
         let sc = mk_conn (get_wire "/a") in
@@ -762,10 +882,10 @@ let daemon_tests =
         let d =
           Daemon.create ~degraded:(fun () -> true) ~handler:ok_handler ()
         in
-        let srv = Domain.spawn (fun () -> Daemon.serve d listener) in
+        let srv = spawn (fun () -> Daemon.serve d listener) in
         await "served" (fun () -> (Daemon.stats d).Daemon.d_served >= 1);
         Daemon.stop d;
-        Domain.join srv;
+        join srv;
         check_int "exit 3" 3 (Daemon.exit_code d));
     t "real TCP smoke: ephemeral port, one request, drain" (fun () ->
         let e =
@@ -782,7 +902,7 @@ let daemon_tests =
         let listener, port =
           Daemon.tcp_listener ~tick_ms:20. ~host:"127.0.0.1" ~port:0 ()
         in
-        let srv = Domain.spawn (fun () -> Daemon.serve d listener) in
+        let srv = spawn (fun () -> Daemon.serve d listener) in
         let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
         Unix.connect fd
           (Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", port));
@@ -804,10 +924,10 @@ let daemon_tests =
         check_bool "200 over the wire" true (contains ~needle:"HTTP/1.1 200" got);
         check_bool "health body" true (contains ~needle:"\"status\"" got);
         Daemon.stop d;
-        Domain.join srv;
+        join srv;
         check_int "clean exit" 0 (Daemon.exit_code d));
   ]
 
 let suite =
   http_tests @ gate_tests @ breaker_tests @ engine_static_tests
-  @ engine_epoch_tests @ daemon_tests
+  @ engine_route_tests @ engine_epoch_tests @ daemon_tests
