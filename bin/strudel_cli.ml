@@ -255,31 +255,18 @@ let explain_analyze_cmd =
   let run data graphs query strategy shards_dir =
     or_die (fun () ->
         let q = Struql.Parser.parse (read_file query) in
-        let g, shards =
+        let g =
           match shards_dir with
-          | None -> (input_graph data graphs q, None)
+          | None -> input_graph data graphs q
           | Some dir ->
-            (* the repository is the data: run over its union graph,
-               with the shard context driving per-shard scans *)
-            let sn = Repository.Shard.open_dir ~dir () in
-            ( sn.Repository.Shard.sn_union,
-              Some (Mediator.Warehouse.shard_ctx_of_snapshot sn) )
+            (* the repository is the data: run over its union graph *)
+            (Repository.Shard.open_dir ~dir ()).Repository.Shard.sn_union
         in
         List.iter
           (fun strategy ->
             let options = { Struql.Eval.default_options with strategy } in
-            (* fresh counter baseline per strategy, so each profile's
-               kernel and shard lines stand alone *)
-            Graph.reset_kernel_counters g;
-            (match shards with
-             | Some sc ->
-               List.iter
-                 (fun sv ->
-                   Graph.reset_kernel_counters sv.Struql.Exec.sv_graph)
-                 sc.Struql.Exec.sc_shards
-             | None -> ());
             let _, prof =
-              Struql.Exec.run_with_profile ~options ~timed:true ?shards g q
+              Struql.Exec.run_with_profile ~options ~timed:true g q
             in
             Fmt.pr "%a@." Struql.Exec.pp_profile prof)
           (strategies_of strategy))
@@ -290,8 +277,7 @@ let explain_analyze_cmd =
          "Run a query on the streaming engine and show the measured plan: \
           per-operator rows in/out, batch watermarks, timings and the peak \
           live-binding count.  With $(b,--shards), the query runs over the \
-          repository's union graph and the profile reports shards \
-          scanned/pruned and per-shard kernel counters.")
+          repository's union graph.")
     Term.(const run $ data_opt_arg $ graphs_arg $ query_pos_arg
           $ strategy_opt_arg $ shards_dir_arg)
 
@@ -463,9 +449,8 @@ let build_cmd =
           | Error (e, _) -> raise e
         in
         let load_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-        (* with --shards, publish the data graph as segment files and
-           let the site queries run shard-aware; pages are
-           byte-identical either way *)
+        (* with --shards, also publish the data graph as segment files;
+           the site queries run over the in-memory graph either way *)
         let snapshot =
           Option.map
             (fun sdir ->
@@ -475,11 +460,6 @@ let build_cmd =
                 ~sources:[ ("input", 0) ]
                 g)
             shards_dir
-        in
-        let shards =
-          Option.map
-            (Mediator.Warehouse.shard_ctx_of_snapshot ~jobs)
-            snapshot
         in
         let templates =
           {
@@ -497,7 +477,7 @@ let build_cmd =
           if stream then Some (Strudel.Render_pool.file_sink ~dir) else None
         in
         let built =
-          Strudel.Site.build ~jobs ~on_error ~fault ?shards ?sink ~data:g def
+          Strudel.Site.build ~jobs ~on_error ~fault ?sink ~data:g def
         in
         let rec mkdirs d =
           if d <> "." && d <> "/" && not (Sys.file_exists d) then begin

@@ -304,12 +304,11 @@ let run (spec : spec) : Diagnostic.t list =
 
   (* --- family 5: shard-manifest coverage (SA050) ---
      With a shard manifest, every collection a query's WHERE footprint
-     reads should be home to some shard: an uncovered collection means
-     the sharded evaluator falls back to a full union scan for that
-     block.  The footprint comes from the shard planner itself
-     ({!Struql.Plan.conds_footprint}), so the lint flags exactly what
-     the evaluator would fail to prune; externs are classified opaque
-     by the footprint and never flagged. *)
+     reads should be home to some shard: an uncovered collection is one
+     the repository does not hold.  The footprint is
+     {!Struql.Plan.conds_footprint} over the block's compiled
+     conditions; externs are classified opaque by the footprint and
+     never flagged. *)
   (match spec.shard_manifest with
    | None -> ()
    | Some entries ->
@@ -347,8 +346,8 @@ let run (spec : spec) : Diagnostic.t list =
                        "SA050" Diagnostic.Warning
                        (Printf.sprintf
                           "collection %s matches no shard in the repository \
-                           manifest (shards: %s): sharded evaluation falls \
-                           back to a full union scan"
+                           manifest (shards: %s): the block reads a \
+                           collection this repository does not hold"
                           cname
                           (if shard_names = "" then "none" else shard_names))
                    end)

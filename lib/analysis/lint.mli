@@ -21,8 +21,8 @@
       never-collected collections, broken template references, unused
       named templates (SA040–SA043);
     - {b shard-manifest coverage}: with a repository shard manifest,
-      query collections no shard is home to — blocks the sharded
-      evaluator cannot prune (SA050).
+      query collections no shard is home to — the block reads a
+      collection the repository does not hold (SA050).
 
     Parse/check plumbing (SA001–SA005) runs first; analyses degrade
     gracefully when a query does not parse. *)
@@ -47,8 +47,8 @@ type spec = {
       (** sharded repositories: each shard's name and home collections,
           as published in the {!Repository.Shard} manifest.  When
           present, SA050 flags query collections no shard is home to
-          (the sharded evaluator would fall back to a full union scan
-          for those blocks); [None] disables the analysis *)
+          (the repository does not hold them, so those blocks read
+          nothing from it); [None] disables the analysis *)
   max_guide_states : int;
       (** DataGuide size bound for the path-emptiness analysis; when
           exceeded the analysis degrades to SA013 instead of failing *)

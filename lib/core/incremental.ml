@@ -27,9 +27,9 @@ let publish_delta ?jobs ?file_loader ?(on_error = Fault.Abort) ?fault ?sink
     ~cache ~(previous : Site.built) ~data ~site_graph ~scope ~touched ~removed
     () : rebuild_report =
   if touched = [] && removed = [] then
-    let total =
-      List.length previous.Site.site.Template.Generator.pages
-    in
+    (* the profile, not the page list: under a sink the site retains
+       no pages *)
+    let total = previous.Site.render_profile.Render_pool.rp_pages in
     {
       built = { previous with Site.data; site_graph; scope };
       pages_total = total;

@@ -10,17 +10,18 @@
     collect the objects they link to, and repeat until no new page
     appears.
 
-    Scheduling.  Each wave is cut into {e slices} of at most [slice]
-    pages (the emission granularity — see below), and each slice is cut
-    into chunks dealt to per-worker deques ({!Pool.Work}).  A worker
-    takes chunks from its own deque and steals from others when it runs
-    dry, so skewed page costs rebalance instead of stalling a round:
-    there is no per-page locking, no round-robin barrier within a
-    slice, and the worker domains themselves persist across builds in
-    {!Pool.shared} — every {!Site.build}, [strudel watch] publish and
-    the bench harness reuse them, so only the first parallel build of a
-    process pays domain spawns.  Workers write results into per-page
-    slots, so output never depends on which worker rendered what.
+    Scheduling.  Each wave is cut into {e slices} of at most
+    [default_slice] pages (the emission granularity — see below), and
+    each slice is cut into chunks dealt to per-worker deques
+    ({!Pool.Work}).  A worker takes chunks from its own deque and
+    steals from others when it runs dry, so skewed page costs
+    rebalance instead of stalling a round: there is no per-page
+    locking, no round-robin barrier within a slice, and the worker
+    domains themselves persist across builds in {!Pool.shared} — every
+    {!Site.build}, [strudel watch] publish and the bench harness reuse
+    them, so only the first parallel build of a process pays domain
+    spawns.  Workers write results into per-page slots, so output
+    never depends on which worker rendered what.
 
     Determinism and byte-identity with the sequential reference path
     ({!Template.Generator.generate}) rest on URL assignment and page
@@ -158,11 +159,10 @@ type slot =
     workers). *)
 let materialize ?(jobs = 1) ?cache ?dirty ?file_loader
     ?(templates = G.empty_templates) ?(on_error = Fault.Abort) ?fault ?sink
-    ?(slice = default_slice) ?(refreeze = true) (g : Graph.t)
-    ~(roots : Oid.t list) : G.site * profile =
+    ?(refreeze = true) (g : Graph.t) ~(roots : Oid.t list) :
+    G.site * profile =
   let t0 = now_ms () in
   let jobs = if jobs <= 0 then auto_jobs () else jobs in
-  let slice = max 1 slice in
   (* the site graph is read-only from here on: freeze once so every
      graph probe — template attributes, cache-trace verification — from
      all domains hits the kernel snapshot's per-(node, label) segments.
@@ -204,9 +204,8 @@ let materialize ?(jobs = 1) ?cache ?dirty ?file_loader
     (match cache with
      | Some c -> Render_cache.set_templates c templates
      | None -> ());
-    let h0, m0, i0 =
-      match cache with Some c -> Render_cache.stats c | None -> (0, 0, 0)
-    in
+    (* this run's cache verdicts, summed over the settled slices *)
+    let hits = ref 0 and misses = ref 0 and invals = ref 0 in
     let trace = cache <> None in
     let compiled = Array.init jobs (fun _ -> G.new_compiled ()) in
     let seen = Oid.Tbl.create 1024 in
@@ -273,7 +272,7 @@ let materialize ?(jobs = 1) ?cache ?dirty ?file_loader
       let s0 = ref 0 in
       while !s0 < n && not !collision do
         let base = !s0 in
-        let len = min slice (n - base) in
+        let len = min default_slice (n - base) in
         s0 := base + len;
         let ents =
           match cache with
@@ -365,7 +364,10 @@ let materialize ?(jobs = 1) ?cache ?dirty ?file_loader
         (match cache with
          | Some c ->
            Render_cache.settle c ~hits:!sl_hits ~misses:!sl_miss
-             ~invalidations:!sl_inval
+             ~invalidations:!sl_inval;
+           hits := !hits + !sl_hits;
+           misses := !misses + !sl_miss;
+           invals := !invals + !sl_inval
          | None -> ());
         all_reports :=
           !all_reports
@@ -393,24 +395,9 @@ let materialize ?(jobs = 1) ?cache ?dirty ?file_loader
                 sh_pages = shard_pages.(i);
                 sh_wall_ms = shard_ms.(i);
               });
-        rp_cache_hits =
-          (match cache with
-           | Some c ->
-             let h, _, _ = Render_cache.stats c in
-             h - h0
-           | None -> 0);
-        rp_cache_misses =
-          (match cache with
-           | Some c ->
-             let _, m, _ = Render_cache.stats c in
-             m - m0
-           | None -> 0);
-        rp_cache_invalidations =
-          (match cache with
-           | Some c ->
-             let _, _, i = Render_cache.stats c in
-             i - i0
-           | None -> 0);
+        rp_cache_hits = !hits;
+        rp_cache_misses = !misses;
+        rp_cache_invalidations = !invals;
         rp_fallback = fallback;
         rp_degraded = degraded;
         rp_wall_ms = now_ms () -. t0;

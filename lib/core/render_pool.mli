@@ -70,7 +70,7 @@ val file_sink : dir:string -> sink
     emitted so far. *)
 
 val default_slice : int
-(** Default bound on pages a wave slice holds in memory at once — also
+(** Bound on pages a wave slice holds in memory at once — also
     the granularity of streaming emission and of deterministic
     fault-report ordering (it must not depend on [jobs]). *)
 
@@ -83,7 +83,6 @@ val materialize :
   ?on_error:Fault.on_error ->
   ?fault:Fault.ctx ->
   ?sink:sink ->
-  ?slice:int ->
   ?refreeze:bool ->
   Graph.t ->
   roots:Oid.t list ->
@@ -99,7 +98,7 @@ val materialize :
 
     With [~sink], pages are streamed to the sink in canonical order and
     the returned site has an empty page list ([profile.rp_pages] still
-    counts them); peak memory is bounded by [slice] pages.
+    counts them); peak memory is bounded by {!default_slice} pages.
 
     [dirty] (with [cache]) is an exact change hint for trace
     verification — see {!Render_cache.verify_dirty}.  The delta publish

@@ -45,7 +45,7 @@ type t = {
   clock : Fault.Clock.t;
   snapshots : Repository.Store.t option;
   fault : Fault.ctx option;
-  shards : Repository.Shard.config option;
+  shard_config : Repository.Shard.config option;
   jobs : int;
   lock : Mutex.t;
   mutable current : view;
@@ -202,7 +202,7 @@ let integrate_now ~jobs ~prev w_options ~clock ~snapshots ~fault sources mapping
    fresh graph (when configured), never touching the live view. *)
 let build_view w ~epoch ~source_versions g =
   let shards =
-    match w.shards with
+    match w.shard_config with
     | None -> None
     | Some cfg ->
       Some (Repository.Shard.publish cfg ~epoch ~sources:source_versions g)
@@ -210,8 +210,8 @@ let build_view w ~epoch ~source_versions g =
   { v_epoch = epoch; v_graph = g; v_shards = shards }
 
 let create ?(options = Struql.Eval.default_options)
-    ?(clock = Fault.Clock.real) ?snapshots ?fault ?shards ?(jobs = 1) ~sources
-    ~mappings () =
+    ?(clock = Fault.Clock.real) ?snapshots ?fault ?shard_config ?(jobs = 1)
+    ~sources ~mappings () =
   let g, stats =
     integrate_now ~jobs ~prev:[] options ~clock ~snapshots ~fault sources
       mappings
@@ -225,7 +225,7 @@ let create ?(options = Struql.Eval.default_options)
       clock;
       snapshots;
       fault;
-      shards;
+      shard_config;
       jobs;
       lock = Mutex.create ();
       current = { v_epoch = 1; v_graph = g; v_shards = None };
@@ -264,7 +264,7 @@ let refresh_count w =
 let last_refresh w =
   locked ~site:__POS__ ~wr:false w (fun () -> w.last_stats)
 
-let shard_config w = w.shards
+let shard_config w = w.shard_config
 
 let faults w = match w.fault with Some c -> Fault.reports c | None -> []
 
@@ -331,30 +331,6 @@ let refresh_delta ?jobs w =
 
 let find_source w name =
   List.find_opt (fun s -> Source.name s = name) w.sources
-
-(* --- Bridging shard snapshots to the evaluator --- *)
-
-let shard_ctx_of_snapshot ?(jobs = 1) (sn : Repository.Shard.snapshot) =
-  {
-    Struql.Exec.sc_shards =
-      List.map
-        (fun (sh : Repository.Shard.shard) ->
-          {
-            Struql.Exec.sv_name = sh.Repository.Shard.sh_entry.e_name;
-            sv_graph = sh.sh_graph;
-            sv_collections = sh.sh_entry.e_collections;
-          })
-        sn.Repository.Shard.sn_shards;
-    sc_union = sn.Repository.Shard.sn_union;
-    sc_jobs = jobs;
-  }
-
-(** The evaluator-facing view of a pinned integration's shards; [None]
-    when the warehouse does not shard.  The context's union is the
-    view's graph itself (shards share its oids), so it is valid for any
-    query run against [view_graph]. *)
-let shard_ctx_of_view ?jobs v =
-  Option.map (shard_ctx_of_snapshot ?jobs) v.v_shards
 
 let pp_outcome ppf = function
   | Changed -> Fmt.string ppf "changed"

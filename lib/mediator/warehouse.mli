@@ -42,7 +42,7 @@ val create :
   ?clock:Fault.Clock.t ->
   ?snapshots:Repository.Store.t ->
   ?fault:Fault.ctx ->
-  ?shards:Repository.Shard.config ->
+  ?shard_config:Repository.Shard.config ->
   ?jobs:int ->
   sources:Source.t list ->
   mappings:Gav.mapping list ->
@@ -55,7 +55,7 @@ val create :
     recorded in [fault]; without either, loads are direct and the first
     failure aborts, exactly as before.
 
-    [shards] makes every integration publish the mediated graph as
+    [shard_config] makes every integration publish the mediated graph as
     segment files under the config's directory (epoch = refresh count).
     [jobs] (default [1]) is the default parallelism of {!refresh}:
     above 1, {e all} declared sources are load-attempted eagerly across
@@ -112,16 +112,6 @@ val faults : t -> Fault.report list
     ([[]] without a context). *)
 
 val find_source : t -> string -> Source.t option
-
-val shard_ctx_of_snapshot :
-  ?jobs:int -> Repository.Shard.snapshot -> Struql.Exec.shard_ctx
-(** The evaluator-facing view of a shard snapshot ([jobs] defaults to
-    [1]); its union is the snapshot's union graph. *)
-
-val shard_ctx_of_view : ?jobs:int -> view -> Struql.Exec.shard_ctx option
-(** Same, for a pinned integration; [None] when the warehouse does not
-    shard.  Valid for queries run against [view_graph] (the shards
-    share its oids). *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 val pp_stats : Format.formatter -> source_stat list -> unit

@@ -244,7 +244,7 @@ let pp_manifest ppf m =
 
 (* --- snapshots --- *)
 
-type shard = { sh_entry : entry; sh_graph : Graph.t }
+type shard = { sh_entry : entry }
 
 type snapshot = {
   sn_epoch : int;
@@ -282,13 +282,23 @@ let publish config ~epoch ?(sources = []) g =
   let n = Graph.node_count g in
   let gid_tbl = Oid.Tbl.create (max 16 n) in
   List.iteri (fun i o -> Oid.Tbl.replace gid_tbl o i) nodes;
-  let ebase = Oid.Tbl.create (max 16 n) in
-  let b = ref 0 in
-  List.iter
-    (fun o ->
-      Oid.Tbl.replace ebase o !b;
-      b := !b + List.length (Graph.out_edges g o))
-    nodes;
+  (* an edge's sequence number is its rank in the union's insertion
+     order, so open_dir's replay rebuilds the label, value and in-edge
+     indexes in their original order, not just each node's out-edges *)
+  let eseq = Oid.Tbl.create (max 16 n) in
+  let stamped =
+    List.concat_map
+      (fun o ->
+        let out = Graph.out_edges g o in
+        Oid.Tbl.replace eseq o (Array.make (List.length out) 0);
+        List.mapi
+          (fun k (l, tgt) -> (Option.get (Graph.edge_stamp g o l tgt), o, k))
+          out)
+      nodes
+  in
+  List.iteri
+    (fun r (_, o, k) -> (Oid.Tbl.find eseq o).(k) <- r)
+    (List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) stamped);
   let cbase = Hashtbl.create 8 in
   let cpos = Hashtbl.create 8 in
   let cb = ref 0 in
@@ -318,7 +328,7 @@ let publish config ~epoch ?(sources = []) g =
           let o = (Hashtbl.find coll_arr c).(k) in
           Hashtbl.find cbase c + Oid.Tbl.find (Hashtbl.find cpos c) o
         in
-        let edge_seq o k = Oid.Tbl.find ebase o + k in
+        let edge_seq o k = (Oid.Tbl.find eseq o).(k) in
         let bytes =
           Segment.write
             ~path:(Filename.concat config.dir file)
@@ -337,7 +347,6 @@ let publish config ~epoch ?(sources = []) g =
               e_edges = Graph.edge_count sg;
               e_bytes = bytes;
             };
-          sh_graph = sg;
         })
       parts
   in
@@ -410,21 +419,5 @@ let open_dir ?(verify = true) ~dir () =
     segs;
   let members = List.sort (fun (a, _, _) (b, _, _) -> compare a b) !members in
   List.iter (fun (_, c, o) -> Graph.add_to_collection union c o) members;
-  let shards =
-    List.map
-      (fun (e, s) ->
-        let sg = Graph.create ~name:("shard:" ^ e.e_name) () in
-        for i = 0 to Segment.node_count s - 1 do
-          Graph.add_node sg (resolve s i)
-        done;
-        Segment.iter_edges s (fun _ i l tgt ->
-            Graph.add_edge sg (resolve s i) l (target s tgt));
-        Segment.iter_members s (fun _ c i ->
-            Graph.add_to_collection sg c (resolve s i));
-        { sh_entry = e; sh_graph = sg })
-      segs
-  in
+  let shards = List.map (fun (e, _) -> { sh_entry = e }) segs in
   { sn_epoch = m.m_epoch; sn_manifest = m; sn_shards = shards; sn_union = union }
-
-let shards_with_collection sn c =
-  List.filter (fun s -> List.mem c s.sh_entry.e_collections) sn.sn_shards

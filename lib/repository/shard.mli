@@ -16,7 +16,11 @@
     Segments record global node ids and per-element sequence numbers,
     so {!open_dir} can re-assemble the union graph of a cold repository
     deterministically: nodes in global-id order, edges and collection
-    members replayed in sequence order. *)
+    members replayed in sequence order.  An edge's sequence number is
+    its rank in the union's insertion order ({!Sgraph.Graph.edge_stamp}),
+    so the re-assembled graph scans labels in the same order as the
+    original and a query over it yields the same rows in the same
+    order. *)
 
 open Sgraph
 
@@ -79,11 +83,7 @@ val pp_manifest : Format.formatter -> manifest -> unit
 
 (** {1 Snapshots} *)
 
-type shard = {
-  sh_entry : entry;
-  sh_graph : Graph.t;
-      (** the shard's graph, sharing oids with [sn_union] *)
-}
+type shard = { sh_entry : entry }
 
 type snapshot = {
   sn_epoch : int;
@@ -100,16 +100,11 @@ val publish :
   snapshot
 (** Partition the graph, write one segment per shard
     ([<key>.<epoch>.seg]), then atomically swap the manifest
-    (write-to-temporary, rename).  The returned snapshot's shard graphs
-    are the live partitions (sharing the argument's oids) — no segment
-    is read back. *)
+    (write-to-temporary, rename).  The returned snapshot's union is the
+    argument itself — no segment is read back. *)
 
 val open_dir : ?verify:bool -> dir:string -> unit -> snapshot
 (** Load a cold repository: read the manifest, decode every segment
     ([verify] as in {!Segment.read}, default [true]), and re-assemble
     the union graph by global-id node order and sequence-ordered edge /
-    collection replay.  Shard graphs share the rebuilt union's oids.
-    Raises {!Manifest_error} or {!Binary.Corrupt}. *)
-
-val shards_with_collection : snapshot -> string -> shard list
-(** The shards holding at least one member of the collection. *)
+    collection replay.  Raises {!Manifest_error} or {!Binary.Corrupt}. *)

@@ -172,10 +172,9 @@ let watch ?(interval = 1.0) ?max_cycles ~on_cycle (t : t) : int =
   while !continue_ do
     let r = cycle t in
     if r.cy_quarantined <> [] then degraded := true;
-    if
-      List.exists
-        (fun p -> Template.Generator.is_placeholder p)
-        t.built.Strudel.Site.site.Template.Generator.pages
+    (* the render profile, not the page list: under a sink the built
+       site retains no pages *)
+    if t.built.Strudel.Site.render_profile.Strudel.Render_pool.rp_degraded > 0
     then degraded := true;
     on_cycle t r;
     incr n;

@@ -32,7 +32,8 @@ type t = {
   mutable nodes : Oid.Set.t;
   mutable node_order_rev : Oid.t list;
   out_tbl : (string * target) list ref Oid.Tbl.t;  (* reversed order *)
-  edge_set : (int * string * tkey, unit) Hashtbl.t;
+  edge_set : (int * string * tkey, int) Hashtbl.t;  (* edge -> stamp *)
+  mutable edge_clock : int;
   colls : (string, coll) Hashtbl.t;
   mutable coll_order_rev : string list;
   names : (string, Oid.t) Hashtbl.t;
@@ -67,6 +68,7 @@ let create ?(indexed = true) ?(name = "g") () =
     node_order_rev = [];
     out_tbl = Oid.Tbl.create 64;
     edge_set = Hashtbl.create 128;
+    edge_clock = 0;
     colls = Hashtbl.create 8;
     coll_order_rev = [];
     names = Hashtbl.create 64;
@@ -138,7 +140,8 @@ let add_edge g src l tgt =
     add_node g src;
     (match tgt with N o -> add_node g o | V _ -> ());
     touch g;
-    Hashtbl.replace g.edge_set (Oid.id src, l, tkey tgt) ();
+    Hashtbl.replace g.edge_set (Oid.id src, l, tkey tgt) g.edge_clock;
+    g.edge_clock <- g.edge_clock + 1;
     (match Oid.Tbl.find_opt g.out_tbl src with
      | Some r -> r := (l, tgt) :: !r
      | None -> Oid.Tbl.add g.out_tbl src (ref [ (l, tgt) ]));
@@ -157,6 +160,9 @@ let add_edge g src l tgt =
            Oid.Tbl.add g.in_idx o b)
     end
   end
+
+let edge_stamp g src l tgt =
+  Hashtbl.find_opt g.edge_set (Oid.id src, l, tkey tgt)
 
 let remove_assoc_edge r pred = r := List.filter (fun e -> not (pred e)) !r
 
@@ -390,11 +396,6 @@ let kernel_counters g =
     hits = Atomic.get g.kstats.Csr.hits;
     misses = Atomic.get g.kstats.Csr.misses;
   }
-
-let reset_kernel_counters g =
-  Atomic.set g.kstats.Csr.freezes 0;
-  Atomic.set g.kstats.Csr.hits 0;
-  Atomic.set g.kstats.Csr.misses 0
 
 let decode_tcode (s : Csr.t) tc =
   if tc < s.Csr.n_nodes then N s.Csr.node_ids.(tc)

@@ -52,6 +52,12 @@ val remove_edge : t -> Oid.t -> string -> target -> unit
 val has_edge : t -> Oid.t -> string -> target -> bool
 val edge_count : t -> int
 
+val edge_stamp : t -> Oid.t -> string -> target -> int option
+(** The edge's insertion stamp, [None] when absent.  Stamps increase
+    in insertion order, so replaying a graph's edges sorted by stamp
+    rebuilds the label, value and in-edge indexes in their original
+    order, which node-major [out_edges] order alone does not. *)
+
 val out_edges : t -> Oid.t -> (string * target) list
 (** Outgoing edges in insertion order. *)
 
@@ -125,12 +131,6 @@ type kernel_counters = { freezes : int; hits : int; misses : int }
 val kernel_counters : t -> kernel_counters
 (** Cumulative kernel statistics: snapshot builds, and path-engine memo
     hits/misses (counted by {!Path} against this graph's snapshots). *)
-
-val reset_kernel_counters : t -> unit
-(** Zero the counters (outstanding snapshots share the record, so their
-    future hits/misses count against the fresh baseline).  Used by
-    [explain-analyze] and the shard observability surfaces to report
-    per-run deltas deterministically. *)
 
 (** {1 Whole-graph operations} *)
 

@@ -831,12 +831,6 @@ let apply ?data t (delta : Delta.t) : site_change =
     sc_fallbacks = List.rev !fallbacks_run;
   }
 
-(** Thread this engine's cumulative counters into a streaming profile
-    (the [explain-analyze] surface). *)
-let fill_profile t (p : Exec.profile) =
-  p.Exec.prf_delta_rows_in <- t.ctr.c_drivers;
-  p.Exec.prf_delta_rows_out <- t.ctr.c_rows
-
 let pp_counters ppf c =
   Fmt.pf ppf
     "cycles=%d drivers=%d rows=%d events +%d/-%d fallback-replays=%d \

@@ -91,8 +91,4 @@ val fallbacks : t -> (string * string) list
 (** The blocks that force full re-evaluation, with reasons — the
     [explain-analyze] / SA070 surface. *)
 
-val fill_profile : t -> Exec.profile -> unit
-(** Thread the engine's cumulative counters into a streaming profile
-    (rows in = drivers re-derived, rows out = rows re-derived). *)
-
 val pp_counters : Format.formatter -> counters -> unit

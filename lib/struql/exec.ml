@@ -220,19 +220,11 @@ type profile = {
   mutable prf_kernel_freezes : int;
   mutable prf_kernel_hits : int;
   mutable prf_kernel_misses : int;
-  mutable prf_shards_scanned : int;
-  mutable prf_shards_pruned : int;
-  mutable prf_shard_kernel : (string * Graph.kernel_counters) list;
   (* differential-evaluation observability (Delta-StruQL): how many
      blocks the delta engine could maintain incrementally vs the
-     fallback reasons, and — when a profile is threaded through an
-     actual delta cycle — the binding rows deltas consumed/produced *)
+     fallback reasons *)
   mutable prf_delta_blocks : int;
   mutable prf_delta_fallback : (string * string) list;  (* path, reason *)
-  mutable prf_delta_rows_in : int;
-  mutable prf_delta_rows_out : int;
-      (* per-shard kernel activity during the run, shards in context
-         order, only those with any *)
 }
 
 let profile_steps p =
@@ -269,21 +261,10 @@ let pp_profile ppf p =
       then
         Fmt.pf ppf "@,kernel: freezes=%d memo hits=%d misses=%d"
           p.prf_kernel_freezes p.prf_kernel_hits p.prf_kernel_misses;
-      if p.prf_shards_scanned > 0 || p.prf_shards_pruned > 0 then
-        Fmt.pf ppf "@,shards: scanned=%d pruned=%d" p.prf_shards_scanned
-          p.prf_shards_pruned;
-      List.iter
-        (fun (name, k) ->
-          Fmt.pf ppf "@,shard %s kernel: freezes=%d memo hits=%d misses=%d"
-            name k.Graph.freezes k.Graph.hits k.Graph.misses)
-        p.prf_shard_kernel;
       if p.prf_delta_blocks > 0 || p.prf_delta_fallback <> [] then begin
         Fmt.pf ppf "@,delta: evaluable blocks=%d fallback=%d"
           p.prf_delta_blocks
           (List.length p.prf_delta_fallback);
-        if p.prf_delta_rows_in > 0 || p.prf_delta_rows_out > 0 then
-          Fmt.pf ppf " rows in=%d out=%d" p.prf_delta_rows_in
-            p.prf_delta_rows_out;
         List.iter
           (fun (path, why) ->
             Fmt.pf ppf "@,  block %s falls back: %s" path why)
@@ -361,46 +342,12 @@ let op_seq g reg ~timed live (os : op_stats) (input : Eval.env Seq.t) :
 let fold_pipeline g reg ~timed live ops input =
   List.fold_left (fun s op -> op_seq g reg ~timed live op s) input ops
 
-(* --- Sharded evaluation --- *)
-
-(* One shard of a partitioned repository, as the evaluator sees it: a
-   graph sharing oids with the mediated union, plus the collections it
-   is home to.  [Mediator.Warehouse] builds these from a pinned
-   {!Repository.Shard} snapshot; the evaluator itself has no dependency
-   on the repository layer. *)
-type shard_view = {
-  sv_name : string;
-  sv_graph : Graph.t;
-  sv_collections : string list;
-}
-
-type shard_ctx = {
-  sc_shards : shard_view list;
-  sc_union : Graph.t;  (** must be the graph the query runs against *)
-  sc_jobs : int;  (** domains for per-shard scans; [1] = sequential *)
-}
-
-let shard_enabled = ref true
-
 (** Kill switch for differential (delta) evaluation: when cleared,
     {!Dexec}-driven pipelines ([strudel watch], warehouse delta
     refresh) fall back to cold full builds.  The streaming evaluator
     itself always runs full — the switch is honoured by the
     differential layer above it. *)
 let delta_enabled = ref true
-
-(* Whether a compiled condition is safe to evaluate from several
-   domains at once: path conditions go through the kernel's memo tables
-   and external predicates run arbitrary code, so both force the
-   sequential lane; everything else only reads the graph. *)
-let rec ccond_parallel_safe = function
-  | Plan.CC_path _ | Plan.CC_extern _ -> false
-  | Plan.CC_not c -> ccond_parallel_safe c
-  | Plan.CC_coll _ | Plan.CC_edge _ | Plan.CC_cmp _ | Plan.CC_in _ -> true
-
-let step_parallel_safe = function
-  | Plan.Exec c -> ccond_parallel_safe c
-  | Plan.Domain_obj _ | Plan.Domain_label _ -> true
 
 (* --- Whole-query evaluation --- *)
 
@@ -415,157 +362,9 @@ type rctx = {
       (* [into == g]: stage 1 would scan the graph construction is
          mutating, so fall back to the eager engine's materialize-then-
          construct discipline per block *)
-  shards : shard_ctx option;
   blocks_rev : block_profile list ref;
   prof : profile;
 }
-
-(* A top-level block whose plan is driven by an unbound collection scan
-   can be sharded: the driving scan runs per shard (only over shards
-   home to the collection), the remaining operators run against the
-   union, and the per-member row chunks are merged back by the member's
-   position in the union extent — which restores exactly the row order
-   of the unsharded pipeline, so construction performs the identical
-   mutation sequence. *)
-let shardable rctx ~top steps (b : Ast.block) =
-  ignore b;
-  match rctx.shards with
-  | Some sc when top && !shard_enabled && sc.sc_union == rctx.g -> (
-    match steps with
-    | Plan.Exec (Plan.CC_coll (cname, Ast.T_var v)) :: rest ->
-      Some (sc, cname, v, rest)
-    | _ -> None)
-  | _ -> None
-
-(* Stage 1 of a sharded block: returns the merged binding rows (in
-   unsharded order) after updating the driving scan's [op_stats]. *)
-let sharded_rows rctx (sc : shard_ctx) cname v bound steps ops =
-  let union_ext = Graph.collection rctx.g cname in
-  let pos = Hashtbl.create (List.length union_ext * 2 + 1) in
-  List.iteri (fun i o -> Hashtbl.replace pos (Oid.id o) i) union_ext;
-  let relevant =
-    List.filter (fun sv -> List.mem cname sv.sv_collections) sc.sc_shards
-  in
-  let exts =
-    List.map (fun sv -> Graph.collection sv.sv_graph cname) relevant
-  in
-  let total = List.fold_left (fun n e -> n + List.length e) 0 exts in
-  let covered =
-    total = List.length union_ext
-    && List.for_all
-         (List.for_all (fun o -> Hashtbl.mem pos (Oid.id o)))
-         exts
-  in
-  if not covered then None
-  else begin
-    rctx.prof.prf_shards_scanned <-
-      rctx.prof.prf_shards_scanned + List.length relevant;
-    rctx.prof.prf_shards_pruned <-
-      rctx.prof.prf_shards_pruned
-      + (List.length sc.sc_shards - List.length relevant);
-    let scan_op, rest_ops =
-      match ops with o :: rest -> (o, rest) | [] -> assert false
-    in
-    (* evaluate one shard's extent with a given operator list; the
-       chunks come back tagged with union-extent positions, ascending *)
-    let eval_ext ~live rest_ops ext =
-      List.concat_map
-        (fun o ->
-          let p = Hashtbl.find pos (Oid.id o) in
-          let env0 = Eval.Env.add v (Eval.B_target (Graph.N o)) Eval.Env.empty in
-          let rows =
-            List.of_seq
-              (fold_pipeline rctx.g rctx.registry ~timed:rctx.timed live
-                 rest_ops (Seq.return env0))
-          in
-          List.map (fun r -> (p, r)) rows)
-        ext
-    in
-    let record_scan ext =
-      scan_op.os_rows_in <- scan_op.os_rows_in + 1;
-      let k = List.length ext in
-      scan_op.os_rows_out <- scan_op.os_rows_out + k;
-      if k > scan_op.os_max_batch then scan_op.os_max_batch <- k
-    in
-    let jobs = min sc.sc_jobs (List.length exts) in
-    let tagged =
-      if jobs > 1 && List.for_all step_parallel_safe (List.tl steps) then begin
-        (* one domain per slice of shards, each with private op_stats
-           (merged below) and live accounting; the union graph is only
-           read — path/extern steps were excluded above *)
-        let exts_a = Array.of_list exts in
-        let n = Array.length exts_a in
-        let results = Array.make n [] in
-        let wstats = Array.init jobs (fun _ -> ops_of_steps bound steps) in
-        let wlive = Array.init jobs (fun _ -> { cur = 0; peak = 0 }) in
-        (* sanitizer identity: field j < n covers [results.(j)] (each
-           written by exactly one worker, striped j mod jobs), field
-           n+w covers worker w's private [wstats]/[wlive]; the
-           fork/join edges order all of them before the merge below *)
-        let ds_scan = Dsan.alloc ~name:"Exec.shard_scan" in
-        let slice w () =
-          let wrest = List.tl wstats.(w) in
-          let j = ref w in
-          while !j < n do
-            Dsan.yield ~site:__POS__;
-            Dsan.write ~site:__POS__ ds_scan !j;
-            results.(!j) <- eval_ext ~live:wlive.(w) wrest exts_a.(!j);
-            j := !j + jobs
-          done;
-          Dsan.write ~site:__POS__ ds_scan (n + w)
-        in
-        let workers =
-          List.init (jobs - 1) (fun w ->
-              let tok = Dsan.fork () in
-              let d =
-                Domain.spawn (fun () ->
-                    Dsan.born tok;
-                    Fun.protect
-                      ~finally:(fun () -> Dsan.dying tok)
-                      (slice (w + 1)))
-              in
-              (d, tok))
-        in
-        slice 0 ();
-        List.iter
-          (fun (d, tok) ->
-            Domain.join d;
-            Dsan.joined tok)
-          workers;
-        if Dsan.enabled () then
-          for k = 0 to n + jobs - 1 do
-            Dsan.read ~site:__POS__ ds_scan k
-          done;
-        Array.iter
-          (fun wops ->
-            List.iter2
-              (fun o wo ->
-                o.os_rows_in <- o.os_rows_in + wo.os_rows_in;
-                o.os_rows_out <- o.os_rows_out + wo.os_rows_out;
-                o.os_max_batch <- max o.os_max_batch wo.os_max_batch;
-                o.os_time <- o.os_time +. wo.os_time)
-              rest_ops (List.tl wops))
-          wstats;
-        Array.iter
-          (fun lv -> if lv.peak > rctx.live.peak then rctx.live.peak <- lv.peak)
-          wlive;
-        List.iter record_scan exts;
-        Array.to_list results
-      end
-      else
-        List.map
-          (fun ext ->
-            record_scan ext;
-            eval_ext ~live:rctx.live rest_ops ext)
-          exts
-    in
-    let merged =
-      List.fold_left
-        (List.merge (fun (a, _) (b, _) -> compare (a : int) b))
-        [] tagged
-    in
-    Some (List.map snd merged)
-  end
 
 let rec run_block rctx ~top path bound (inputs : Eval.env Seq.t) (b : Ast.block)
     =
@@ -587,70 +386,42 @@ let rec run_block rctx ~top path bound (inputs : Eval.env Seq.t) (b : Ast.block)
    | Plan.D_fallback why ->
      rctx.prof.prf_delta_fallback <- (path, why) :: rctx.prof.prf_delta_fallback);
   let groups = Eval.new_groups () in
-  let sharded =
-    match shardable rctx ~top steps b with
-    | Some (sc, cname, v, _rest) ->
-      sharded_rows rctx sc cname v bound steps ops
-    | None -> None
+  let stream =
+    fold_pipeline rctx.g rctx.registry ~timed:rctx.timed rctx.live ops inputs
   in
-  (match sharded with
-   | Some rows ->
-     (* already materialized in unsharded row order: construct, then
-        nested blocks re-consume the relation as usual *)
-     let n = List.length rows in
-     bpr.bpr_rows <- n;
-     live_alloc rctx.live n;
-     List.iter (fun env -> Eval.construct_row rctx.sink groups b env) rows;
-     Eval.construct_flush rctx.sink groups;
-     if b.nested <> [] then begin
-       let bound' =
-         Ast.dedup (bound @ List.concat_map (fun s -> Plan.step_binds s) steps)
-       in
-       List.iteri
-         (fun i nested ->
-           run_block rctx ~top:false
-             (path ^ "." ^ string_of_int (i + 1))
-             bound' (List.to_seq rows) nested)
-         b.nested
-     end;
-     live_release rctx.live n
-   | None ->
-     let stream =
-       fold_pipeline rctx.g rctx.registry ~timed:rctx.timed rctx.live ops inputs
-     in
-     if b.nested = [] && not rctx.materialize_all then begin
-       (* fully pipelined: construct each row as it is pulled *)
-       Seq.iter
-         (fun env ->
-           bpr.bpr_rows <- bpr.bpr_rows + 1;
-           Eval.construct_row rctx.sink groups b env)
-         stream;
-       Eval.construct_flush rctx.sink groups
-     end
-     else begin
-       (* nested blocks re-consume the relation, and the parent's
-          construction must fully precede theirs for oid-order fidelity *)
-       let rows = List.of_seq stream in
-       let n = List.length rows in
-       bpr.bpr_rows <- n;
-       live_alloc rctx.live n;
-       List.iter (fun env -> Eval.construct_row rctx.sink groups b env) rows;
-       Eval.construct_flush rctx.sink groups;
-       let bound' =
-         Ast.dedup (bound @ List.concat_map (fun s -> Plan.step_binds s) steps)
-       in
-       List.iteri
-         (fun i nested ->
-           run_block rctx ~top:false
-             (path ^ "." ^ string_of_int (i + 1))
-             bound' (List.to_seq rows) nested)
-         b.nested;
-       live_release rctx.live n
-     end);
+  if b.nested = [] && not rctx.materialize_all then begin
+    (* fully pipelined: construct each row as it is pulled *)
+    Seq.iter
+      (fun env ->
+        bpr.bpr_rows <- bpr.bpr_rows + 1;
+        Eval.construct_row rctx.sink groups b env)
+      stream;
+    Eval.construct_flush rctx.sink groups
+  end
+  else begin
+    (* nested blocks re-consume the relation, and the parent's
+       construction must fully precede theirs for oid-order fidelity *)
+    let rows = List.of_seq stream in
+    let n = List.length rows in
+    bpr.bpr_rows <- n;
+    live_alloc rctx.live n;
+    List.iter (fun env -> Eval.construct_row rctx.sink groups b env) rows;
+    Eval.construct_flush rctx.sink groups;
+    let bound' =
+      Ast.dedup (bound @ List.concat_map (fun s -> Plan.step_binds s) steps)
+    in
+    List.iteri
+      (fun i nested ->
+        run_block rctx ~top:false
+          (path ^ "." ^ string_of_int (i + 1))
+          bound' (List.to_seq rows) nested)
+      b.nested;
+    live_release rctx.live n
+  end;
   rctx.prof.prf_rows <- rctx.prof.prf_rows + bpr.bpr_rows
 
 let run_with_profile ?(options = Eval.default_options) ?(timed = false) ?scope
-    ?shards ?into g (q : Ast.query) =
+    ?into g (q : Ast.query) =
   if options.Eval.validate then Check.validate_exn q;
   let out =
     match into with Some g' -> g' | None -> Graph.create ~name:q.output ()
@@ -666,22 +437,9 @@ let run_with_profile ?(options = Eval.default_options) ?(timed = false) ?scope
       prf_kernel_freezes = 0;
       prf_kernel_hits = 0;
       prf_kernel_misses = 0;
-      prf_shards_scanned = 0;
-      prf_shards_pruned = 0;
-      prf_shard_kernel = [];
       prf_delta_blocks = 0;
       prf_delta_fallback = [];
-      prf_delta_rows_in = 0;
-      prf_delta_rows_out = 0;
     }
-  in
-  let shard_k0 =
-    match shards with
-    | None -> []
-    | Some sc ->
-      List.map
-        (fun sv -> (sv, Graph.kernel_counters sv.sv_graph))
-        sc.sc_shards
   in
   (* Read-only data graph: freeze so path conditions and attribute
      probes run on the compiled kernel.  When constructing into the
@@ -698,7 +456,6 @@ let run_with_profile ?(options = Eval.default_options) ?(timed = false) ?scope
       timed;
       live = { cur = 0; peak = 0 };
       materialize_all = out == g;
-      shards;
       blocks_rev = ref [];
       prof;
     }
@@ -717,25 +474,10 @@ let run_with_profile ?(options = Eval.default_options) ?(timed = false) ?scope
   prof.prf_kernel_freezes <- k1.Graph.freezes - k0.Graph.freezes;
   prof.prf_kernel_hits <- k1.Graph.hits - k0.Graph.hits;
   prof.prf_kernel_misses <- k1.Graph.misses - k0.Graph.misses;
-  prof.prf_shard_kernel <-
-    List.filter_map
-      (fun (sv, (sk0 : Graph.kernel_counters)) ->
-        let sk1 = Graph.kernel_counters sv.sv_graph in
-        let d =
-          {
-            Graph.freezes = sk1.Graph.freezes - sk0.Graph.freezes;
-            hits = sk1.Graph.hits - sk0.Graph.hits;
-            misses = sk1.Graph.misses - sk0.Graph.misses;
-          }
-        in
-        if d.Graph.freezes = 0 && d.Graph.hits = 0 && d.Graph.misses = 0 then
-          None
-        else Some (sv.sv_name, d))
-      shard_k0;
   (out, prof)
 
-let run ?options ?scope ?shards ?into g q =
-  fst (run_with_profile ?options ?scope ?shards ?into g q)
+let run ?options ?scope ?into g q =
+  fst (run_with_profile ?options ?scope ?into g q)
 
 let run_string ?options ?scope ?into g src =
   let registry =

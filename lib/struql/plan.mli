@@ -61,8 +61,8 @@ val step_binds : step -> Ast.var list
 (** {1 Collection/label footprint}
 
     A conservative summary of the graph regions a plan can touch, used
-    to prune shards a query cannot match and by the lint pass to detect
-    site queries no shard of the configured repository covers. *)
+    by the lint pass to detect site queries reading collections no
+    shard of the configured repository holds (SA050). *)
 
 type footprint = {
   fp_collections : string list;  (** collections scanned or probed *)
@@ -70,8 +70,7 @@ type footprint = {
   fp_opaque : bool;
       (** the plan also touches regions this summary cannot name (label
           variables, wildcard path edges, external predicates, domain
-          enumerators) — pruning by labels is then unsound, though
-          collection pruning of {e driving} scans remains valid *)
+          enumerators), so [fp_labels] is then incomplete *)
 }
 
 val footprint : step list -> footprint

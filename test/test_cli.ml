@@ -31,6 +31,40 @@ let run_cmd cmd =
 
 let available = Sys.file_exists cli
 
+let fresh_dir () =
+  let dir = Filename.temp_file "strudelsite" "" in
+  Sys.remove dir;
+  dir
+
+let rm_dir dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
+(* [strudel build] of data file [d] and query file [q] with extra
+   [flags]: exit code, stdout and the written files (name, bytes),
+   sorted; the output directory is removed afterwards *)
+let build_to d q flags =
+  let dir = fresh_dir () in
+  let code, out =
+    run_cmd
+      (Filename.quote cli ^ " build -d " ^ Filename.quote d ^ " -q "
+       ^ Filename.quote q ^ " --root RootPage " ^ flags ^ " -o "
+       ^ Filename.quote dir)
+  in
+  let pages =
+    List.sort compare
+      (List.map
+         (fun f ->
+           let ic = open_in_bin (Filename.concat dir f) in
+           let n = in_channel_length ic in
+           let s = really_input_string ic n in
+           close_in ic;
+           (f, s))
+         (Array.to_list (Sys.readdir dir)))
+  in
+  rm_dir dir;
+  (code, out, pages)
+
 let guard f () = if available then f () else ()
 
 let suite =
@@ -131,34 +165,8 @@ let suite =
       (guard (fun () ->
         let d = write_tmp ".ddl" Sites.Paper_example.data_ddl in
         let q = write_tmp ".struql" Sites.Paper_example.site_query in
-        let build_to jobs =
-          let dir = Filename.temp_file "strudelsite" "" in
-          Sys.remove dir;
-          let code, out =
-            run_cmd
-              (Filename.quote cli ^ " build -d " ^ Filename.quote d ^ " -q "
-               ^ Filename.quote q ^ " --root RootPage --jobs "
-               ^ string_of_int jobs ^ " --stats -o " ^ Filename.quote dir)
-          in
-          let pages =
-            List.sort compare
-              (List.map
-                 (fun f ->
-                   let ic = open_in_bin (Filename.concat dir f) in
-                   let n = in_channel_length ic in
-                   let s = really_input_string ic n in
-                   close_in ic;
-                   (f, s))
-                 (Array.to_list (Sys.readdir dir)))
-          in
-          Array.iter
-            (fun f -> Sys.remove (Filename.concat dir f))
-            (Sys.readdir dir);
-          Sys.rmdir dir;
-          (code, out, pages)
-        in
-        let code1, out1, pages1 = build_to 1 in
-        let code4, out4, pages4 = build_to 4 in
+        let code1, out1, pages1 = build_to d q "--jobs 1 --stats" in
+        let code4, out4, pages4 = build_to d q "--jobs 4 --stats" in
         List.iter Sys.remove [ d; q ];
         check_int "jobs=1 exit 0" 0 code1;
         check_int "jobs=4 exit 0" 0 code4;
@@ -169,34 +177,8 @@ let suite =
       (guard (fun () ->
         let d = write_tmp ".ddl" Sites.Paper_example.data_ddl in
         let q = write_tmp ".struql" Sites.Paper_example.site_query in
-        let build_to flags =
-          let dir = Filename.temp_file "strudelsite" "" in
-          Sys.remove dir;
-          let code, out =
-            run_cmd
-              (Filename.quote cli ^ " build -d " ^ Filename.quote d ^ " -q "
-               ^ Filename.quote q ^ " --root RootPage " ^ flags ^ " -o "
-               ^ Filename.quote dir)
-          in
-          let pages =
-            List.sort compare
-              (List.map
-                 (fun f ->
-                   let ic = open_in_bin (Filename.concat dir f) in
-                   let n = in_channel_length ic in
-                   let s = really_input_string ic n in
-                   close_in ic;
-                   (f, s))
-                 (Array.to_list (Sys.readdir dir)))
-          in
-          Array.iter
-            (fun f -> Sys.remove (Filename.concat dir f))
-            (Sys.readdir dir);
-          Sys.rmdir dir;
-          (code, out, pages)
-        in
-        let code1, _, pages1 = build_to "--jobs 1" in
-        let code0, out0, pages0 = build_to "--jobs 0 --stream --stats" in
+        let code1, _, pages1 = build_to d q "--jobs 1" in
+        let code0, out0, pages0 = build_to d q "--jobs 0 --stream --stats" in
         List.iter Sys.remove [ d; q ];
         check_int "jobs=1 exit 0" 0 code1;
         check_int "jobs=0 --stream exit 0" 0 code0;
@@ -204,6 +186,35 @@ let suite =
           (contains out0
              (Printf.sprintf "jobs=%d" (Strudel.Render_pool.auto_jobs ())));
         check_bool "streamed files byte-identical" true (pages1 = pages0)));
+    t "build: --shards publishes a checkable repository, same pages"
+      (guard (fun () ->
+        let d = write_tmp ".ddl" Sites.Paper_example.data_ddl in
+        let q = write_tmp ".struql" Sites.Paper_example.site_query in
+        let repo = fresh_dir () in
+        let code0, _, pages0 = build_to d q "" in
+        let code1, _, pages1 =
+          build_to d q ("--shards " ^ Filename.quote repo ^ " --shard-by family")
+        in
+        let status, out =
+          run_cmd
+            (Filename.quote cli ^ " repo status " ^ Filename.quote repo
+             ^ " --check")
+        in
+        let analyze, profile =
+          run_cmd
+            (Filename.quote cli ^ " explain-analyze -s costbased --shards "
+             ^ Filename.quote repo ^ " " ^ Filename.quote q)
+        in
+        rm_dir repo;
+        List.iter Sys.remove [ d; q ];
+        check_int "plain build exit 0" 0 code0;
+        check_int "--shards build exit 0" 0 code1;
+        check_bool "written files byte-identical" true (pages0 = pages1);
+        check_int "repo status --check exit 0" 0 status;
+        check_bool "segments verified" true (contains out ": ok");
+        check_int "explain-analyze --shards exit 0" 0 analyze;
+        check_bool "measured plan printed" true
+          (contains profile "EXPLAIN ANALYZE")));
     t "lint: bundled site in all three formats"
       (guard (fun () ->
         let code, text = run_cmd (cli ^ " lint cnn") in

@@ -19,6 +19,10 @@ let page_map (site : Template.Generator.site) =
     site.Template.Generator.pages
   |> List.sort compare
 
+(* a sink that drops every page: the built site then retains none *)
+let null_sink =
+  { Strudel.Render_pool.sk_emit = (fun _ -> ()); sk_reset = (fun () -> ()) }
+
 (* --- a small delta-friendly site: driving collection + nested
    attribute copy, same shape as the scale site --- *)
 
@@ -440,4 +444,45 @@ OUTPUT SITE|} );
         in
         check_int "three cycles ran" 3 !seen;
         check_int "clean exit" 0 code);
+    t "watch exits 3 on placeholder pages, with or without a sink"
+      (fun () ->
+        List.iter
+          (fun sink ->
+            let inject = Fault.Inject.create ~seed:7 ~p_render:1.0 () in
+            let w =
+              Serve.Watch.create ~on_error:Fault.Degrade
+                ~fault:(Fault.ctx ~inject ()) ?sink
+                ~source:(Serve.Watch.Direct (mk_data 6))
+                definition
+            in
+            let code =
+              Serve.Watch.watch ~interval:0.0 ~max_cycles:1
+                ~on_cycle:(fun _ _ -> ())
+                w
+            in
+            check_int
+              (Printf.sprintf "degraded exit (sink=%b)" (sink <> None))
+              3 code)
+          [ None; Some null_sink ]);
+    t "no-change cycle under a sink reports every page reused" (fun () ->
+        let g = mk_data 12 in
+        (* a node outside Items: editing it touches no site node *)
+        let stray = Oid.fresh "stray" in
+        Graph.add_node g stray;
+        let w =
+          Serve.Watch.create ~sink:null_sink ~source:(Serve.Watch.Direct g)
+            definition
+        in
+        let total =
+          (Serve.Watch.built w).Strudel.Site.render_profile
+            .Strudel.Render_pool.rp_pages
+        in
+        check_bool "site has pages" true (total > 12);
+        let r = Option.get (Serve.Watch.recorder w) in
+        Delta.Rec.set_value r stray "title" (Value.String "ignored");
+        let rep = Serve.Watch.cycle w in
+        check_bool "changed" true rep.Serve.Watch.cy_changed;
+        check_int "nothing touched" 0 rep.Serve.Watch.cy_touched;
+        check_int "no rerenders" 0 rep.Serve.Watch.cy_rerendered;
+        check_int "every page reused" total rep.Serve.Watch.cy_reused);
   ]

@@ -4,8 +4,8 @@
    suppress the report), determinism under a fixed seed, the SA060-062
    diagnostic bridge, stability pinning of the catalog codes, and
    no-false-positive runs of the real parallel runtime — builds, cached
-   rebuilds, sharded scans, warehouse refresh, serving — with the
-   sanitizer armed at jobs 2 and 8. *)
+   rebuilds, warehouse refresh (plain and publishing shards), serving —
+   with the sanitizer armed at jobs 2 and 8. *)
 
 open Sgraph
 
@@ -278,53 +278,6 @@ let clean_runtime_tests =
                 check_bool "sanitizer actually saw the run" true
                   ((Dsan.stats ()).Dsan.st_ops > 0)))
           job_levels);
-    t "sanitized sharded scans: zero races, results unchanged" (fun () ->
-        let g = Graph.create ~name:"data" () in
-        let nodes =
-          Array.init 40 (fun i -> Graph.new_node g (Printf.sprintf "n%d" i))
-        in
-        Array.iteri
-          (fun i o ->
-            Graph.add_edge g o "a" (Graph.V (Value.Int i));
-            Graph.add_to_collection g
-              (if i mod 2 = 0 then "C" else "D")
-              o;
-            if i > 0 then Graph.add_edge g o "b" (Graph.N nodes.(i - 1)))
-          nodes;
-        let q =
-          Struql.Parser.parse
-            {|INPUT D { WHERE C(x), x -> "a" -> v CREATE P(x) LINK P(x) -> "val" -> v COLLECT Ps(P(x)) } OUTPUT S|}
-        in
-        let plain = Repository.Binary.encode (Struql.Exec.run g q) in
-        List.iter
-          (fun jobs ->
-            sanitized (fun () ->
-                let parts =
-                  Repository.Shard.partition Repository.Shard.By_collection g
-                in
-                let ctx =
-                  {
-                    Struql.Exec.sc_shards =
-                      List.map
-                        (fun (name, sg) ->
-                          {
-                            Struql.Exec.sv_name = name;
-                            sv_graph = sg;
-                            sv_collections = Graph.collections sg;
-                          })
-                        parts;
-                    sc_union = g;
-                    sc_jobs = jobs;
-                  }
-                in
-                let sharded =
-                  Repository.Binary.encode (Struql.Exec.run ~shards:ctx g q)
-                in
-                check_bool (Printf.sprintf "jobs=%d result identical" jobs)
-                  true (sharded = plain);
-                check_int (Printf.sprintf "jobs=%d races" jobs) 0
-                  (Dsan.race_count ())))
-          job_levels);
     t "sanitized warehouse refresh: zero races" (fun () ->
         List.iter
           (fun jobs ->
@@ -342,6 +295,64 @@ let clean_runtime_tests =
                   (Graph.node_count (Mediator.Warehouse.graph w) > 0);
                 check_int (Printf.sprintf "jobs=%d races" jobs) 0
                   (Dsan.race_count ())))
+          job_levels);
+    t "sanitized sharded warehouse refresh: zero races, repository unchanged"
+      (fun () ->
+        let items ~name ~k =
+          let g = Graph.create ~name () in
+          for i = 1 to 6 do
+            let o = Graph.new_node g (Printf.sprintf "%s%d" name i) in
+            Graph.add_to_collection g "Items" o;
+            Graph.add_edge g o "v" (Graph.V (Value.Int k))
+          done;
+          g
+        in
+        let copy source =
+          Mediator.Gav.copy_collection ~source ~collection:"Items" ()
+        in
+        List.iter
+          (fun jobs ->
+            let dir = Filename.temp_file "strudeldsan" "" in
+            Sys.remove dir;
+            Fun.protect
+              ~finally:(fun () ->
+                if Sys.file_exists dir then begin
+                  Array.iter
+                    (fun f -> Sys.remove (Filename.concat dir f))
+                    (Sys.readdir dir);
+                  Sys.rmdir dir
+                end)
+              (fun () ->
+                sanitized (fun () ->
+                    let sa =
+                      Mediator.Source.of_graph ~name:"a" (items ~name:"a" ~k:1)
+                    in
+                    let sb =
+                      Mediator.Source.of_graph ~name:"b" (items ~name:"b" ~k:1)
+                    in
+                    let w =
+                      Mediator.Warehouse.create ~jobs
+                        ~shard_config:
+                          { Repository.Shard.dir;
+                            cfg_spec = Repository.Shard.By_collection }
+                        ~sources:[ sa; sb ]
+                        ~mappings:[ copy "a"; copy "b" ]
+                        ()
+                    in
+                    Mediator.Source.update sa (fun () -> items ~name:"a" ~k:2);
+                    check_bool "refresh happened" true
+                      (Mediator.Warehouse.refresh ~jobs w);
+                    check_int "manifest epoch 2" 2
+                      (Repository.Shard.load_manifest ~dir)
+                        .Repository.Shard.m_epoch;
+                    check_string
+                      (Printf.sprintf "jobs=%d cold open encodes as the view" jobs)
+                      (Repository.Binary.encode (Mediator.Warehouse.graph w))
+                      (Repository.Binary.encode
+                         (Repository.Shard.open_dir ~dir ())
+                           .Repository.Shard.sn_union);
+                    check_int (Printf.sprintf "jobs=%d races" jobs) 0
+                      (Dsan.race_count ()))))
           job_levels);
     t "sanitized serving: zero races under concurrent requests" (fun () ->
         let def = Sites.Paper_example.definition in

@@ -1,10 +1,12 @@
 (* The sharded repository: partition coverage, segment round-trips
    (loaded and mmapped) with truncation/corruption fuzz surfacing
-   [Binary.Corrupt] byte offsets, manifest publish / open_dir, sharded
-   StruQL evaluation byte-identical to the unsharded engine (fixed
-   cases, random differential, and all five example sites, at jobs 1
-   and 4), and warehouse snapshot isolation under a refresh running
-   concurrently with a pinned reader. *)
+   [Binary.Corrupt] byte offsets, manifest publish / open_dir,
+   StruQL evaluation and whole-site builds over a cold-opened
+   repository byte-identical to the in-memory graph (fixed cases,
+   random differential, and all five example sites), the warehouse
+   publishing shards per refresh epoch, and warehouse snapshot
+   isolation under a refresh running concurrently with a pinned
+   reader. *)
 
 open Sgraph
 
@@ -30,24 +32,6 @@ let rm_rf dir =
    encodings mean equal graphs *including* every order the construction
    stage and page generator depend on. *)
 let bytes_of g = Repository.Binary.encode g
-
-(* Evaluator-facing shard context straight from the live partition (the
-   disk round-trip is exercised separately by the segment tests). *)
-let ctx_of ?(jobs = 1) ?(spec = Repository.Shard.By_collection) g =
-  let parts = Repository.Shard.partition spec g in
-  {
-    Struql.Exec.sc_shards =
-      List.map
-        (fun (name, sg) ->
-          {
-            Struql.Exec.sv_name = name;
-            sv_graph = sg;
-            sv_collections = Graph.collections sg;
-          })
-        parts;
-    sc_union = g;
-    sc_jobs = jobs;
-  }
 
 (* ---- random inputs ---- *)
 
@@ -100,10 +84,23 @@ let fixed_spec =
     [ 0; 2; 3 ],
     [ 1; 4; 5 ] )
 
-(* Full queries: shardable driving scans, joins reaching out of the
-   shard, multi-block, nested, negation, a path condition (whose rest
-   pipeline is parallel-unsafe, forcing the sequential sharded path),
-   and a driving edge scan the shard planner cannot cover at all. *)
+(* Publish a graph as a repository and read it back cold: the union
+   graph [open_dir] re-assembles from the segments, which is what a
+   query over a stored repository evaluates against. *)
+let reopened ?(spec = Repository.Shard.By_collection) g =
+  let dir = tmp_dir "strudelrt" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      ignore
+        (Repository.Shard.publish
+           { Repository.Shard.dir; cfg_spec = spec }
+           ~epoch:1 g);
+      (Repository.Shard.open_dir ~dir ()).Repository.Shard.sn_union)
+
+(* Full queries: collection scans, joins across collections,
+   multi-block, nested, negation, a path condition, and a driving edge
+   scan with no collection at all. *)
 let query_pool =
   [
     {|INPUT D { WHERE C(x), x -> l -> v CREATE P(x) LINK P(x) -> l -> v COLLECT Ps(P(x)) } OUTPUT S|};
@@ -121,19 +118,16 @@ OUTPUT S|};
     {|INPUT D { WHERE x -> "a" -> y CREATE E(x) LINK E(x) -> "to" -> y COLLECT Es(E(x)) } OUTPUT S|};
   ]
 
-let differential (spec, qi, par, by_family) =
+let differential (spec, qi, by_family) =
   let g = build_data spec in
   let q = Struql.Parser.parse (List.nth query_pool qi) in
-  let jobs = if par then 4 else 1 in
   let pspec =
     if by_family then Repository.Shard.By_family
     else Repository.Shard.By_collection
   in
   let plain = Struql.Exec.run g q in
-  let sharded =
-    Struql.Exec.run ~shards:(ctx_of ~jobs ~spec:pspec g) g q
-  in
-  bytes_of plain = bytes_of sharded
+  let stored = Struql.Exec.run (reopened ~spec:pspec g) q in
+  bytes_of plain = bytes_of stored
 
 (* ---- example sites ---- *)
 
@@ -146,19 +140,18 @@ let site_pages (built : Strudel.Site.built) =
 let site_case name def data =
   t (Printf.sprintf "site %s: sharded build byte-identical" name) (fun () ->
       let plain = Strudel.Site.build ~data def in
+      let stored = reopened data in
       List.iter
         (fun jobs ->
-          let sharded =
-            Strudel.Site.build ~shards:(ctx_of ~jobs data) ~data def
-          in
+          let b = Strudel.Site.build ~jobs ~data:stored def in
           check_bool
             (Printf.sprintf "pages identical (jobs=%d)" jobs)
             true
-            (site_pages plain = site_pages sharded);
+            (site_pages plain = site_pages b);
           check_string
             (Printf.sprintf "site graph identical (jobs=%d)" jobs)
             (bytes_of plain.Strudel.Site.site_graph)
-            (bytes_of sharded.Strudel.Site.site_graph))
+            (bytes_of b.Strudel.Site.site_graph))
         [ 1; 4 ])
 
 (* ---- warehouse helpers ---- *)
@@ -404,74 +397,31 @@ let eval_tests =
     (fun i _src ->
       t (Printf.sprintf "fixed differential %d" i) (fun () ->
           List.iter
-            (fun par ->
+            (fun fam ->
               check_bool
-                (Printf.sprintf "q%d jobs=%s" i (if par then "4" else "1"))
+                (Printf.sprintf "q%d spec=%s" i
+                   (if fam then "family" else "collection"))
                 true
-                (differential (fixed_spec, i, par, false)))
+                (differential (fixed_spec, i, fam)))
             [ false; true ]))
     query_pool
   @ [
       QCheck_alcotest.to_alcotest
         (QCheck.Test.make
            ~name:
-             "sharded evaluation is byte-identical to unsharded (random \
-              graphs, jobs 1 and 4, both partition specs)"
-           ~count:250
+             "evaluation over a cold-opened repository is byte-identical \
+              to the in-memory graph (random graphs, both partition specs)"
+           ~count:100
            (QCheck.make
-              ~print:(fun (_, qi, par, fam) ->
-                Printf.sprintf "%s [jobs=%d spec=%s]"
+              ~print:(fun (d, qi, fam) ->
+                Printf.sprintf "%s %s [spec=%s]" (print_data d)
                   (List.nth query_pool qi)
-                  (if par then 4 else 1)
                   (if fam then "family" else "collection"))
               QCheck.Gen.(
-                quad data_gen
+                triple data_gen
                   (int_bound (List.length query_pool - 1))
-                  bool bool))
+                  bool))
            differential);
-      t "kill switch disables sharded scans" (fun () ->
-          let g = build_data fixed_spec in
-          let q = Struql.Parser.parse (List.hd query_pool) in
-          Struql.Exec.shard_enabled := false;
-          Fun.protect
-            ~finally:(fun () -> Struql.Exec.shard_enabled := true)
-            (fun () ->
-              let out, prof =
-                Struql.Exec.run_with_profile ~shards:(ctx_of g) g q
-              in
-              check_int "no shard scans"
-                0 prof.Struql.Exec.prf_shards_scanned;
-              check_string "output unchanged"
-                (bytes_of (Struql.Exec.run g q))
-                (bytes_of out)));
-      t "profile counts scanned and pruned shards" (fun () ->
-          (* C and D on disjoint nodes: two shards, one pruned.  The query
-             reads only C, via a collection scan, so the planner's driving
-             step has a C-only footprint and D's shard must be skipped. *)
-          let g = build_data (4, [ (0, "a", `I 1); (2, "a", `I 2) ], [ 0; 1 ], [ 2; 3 ]) in
-          let q =
-            Struql.Parser.parse
-              {|INPUT D { WHERE C(x) CREATE P(x) COLLECT Ps(P(x)) } OUTPUT S|}
-          in
-          let _out, prof =
-            Struql.Exec.run_with_profile ~shards:(ctx_of g) g q
-          in
-          check_bool "scanned C's shard" true
-            (prof.Struql.Exec.prf_shards_scanned >= 1);
-          check_bool "pruned D's shard" true
-            (prof.Struql.Exec.prf_shards_pruned >= 1));
-      t "kernel counters reset" (fun () ->
-          let g = build_data fixed_spec in
-          let q = Struql.Parser.parse (List.nth query_pool 5) in
-          ignore (Struql.Exec.run g q);
-          (* the path condition froze the kernel at least once *)
-          check_bool "freeze happened" true
-            ((Graph.kernel_counters g).Graph.freezes >= 1);
-          Graph.reset_kernel_counters g;
-          let k = Graph.kernel_counters g in
-          check_int "freezes zero" 0 k.Graph.freezes;
-          check_int "hits zero" 0 k.Graph.hits;
-          check_int "misses zero" 0 k.Graph.misses);
     ]
 
 let site_tests =
@@ -569,7 +519,7 @@ let warehouse_tests =
               in
               find 0)
          | _ -> Alcotest.fail "bad source not quarantined"));
-    t "warehouse publishes shards; sharded view evaluates identically"
+    t "warehouse publishes shards; cold open re-assembles the view graph"
       (fun () ->
         let dir = tmp_dir "strudelwsh" in
         let s =
@@ -577,7 +527,7 @@ let warehouse_tests =
         in
         let w =
           Mediator.Warehouse.create
-            ~shards:
+            ~shard_config:
               { Repository.Shard.dir;
                 cfg_spec = Repository.Shard.By_collection }
             ~sources:[ s ]
@@ -588,16 +538,9 @@ let warehouse_tests =
         let g = Mediator.Warehouse.view_graph v in
         check_bool "view carries a shard snapshot" true
           (Mediator.Warehouse.view_shards v <> None);
-        let ctx = Option.get (Mediator.Warehouse.shard_ctx_of_view v) in
-        check_bool "context union is the view graph" true
-          (ctx.Struql.Exec.sc_union == g);
-        let q =
-          Struql.Parser.parse
-            {|INPUT D { WHERE Items(x), x -> "v" -> n CREATE P(x) LINK P(x) -> "n" -> n COLLECT Ps(P(x)) } OUTPUT S|}
-        in
-        check_string "sharded run identical"
-          (bytes_of (Struql.Exec.run g q))
-          (bytes_of (Struql.Exec.run ~shards:ctx g q));
+        check_string "open_dir union encodes as the view graph"
+          (bytes_of g)
+          (bytes_of (Repository.Shard.open_dir ~dir ()).Repository.Shard.sn_union);
         check_int "manifest epoch 1" 1
           (Repository.Shard.load_manifest ~dir).Repository.Shard.m_epoch;
         (* a refresh publishes the next epoch; the pinned view keeps
