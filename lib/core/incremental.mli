@@ -33,12 +33,15 @@ val publish_delta :
   rebuild_report
 (** The differential publish leg of [strudel watch]: the site graph was
     already maintained in place (by {!Struql.Dexec}), so query
-    re-evaluation is skipped and only page materialization runs
-    ({!Site.of_site_graph}), against the cross-epoch [cache] whose
-    verifying read traces invalidate exactly the pages whose rendering
-    observed the change.  [touched]/[removed] are the site-node names
-    the delta cycle reported; when both are empty the previous build's
-    pages are reused wholesale.  Schemas and query profiles are carried
-    over from [previous] (the maintained graph's queries have not
-    changed).  Output is byte-identical to a cold {!Site.build} over
+    re-evaluation is skipped and only a delta walk of page
+    materialization runs ({!Render_pool.materialize} [~changed]) from
+    the publication the cross-cycle [cache] carries.  Its cost is the
+    change's: the live pages whose read traces name a [touched] or
+    [removed] site node are re-verified, the ones that fail re-render
+    and are emitted, pages newly linked are rendered and emitted, and
+    pages no longer reachable leave the site (their entries dropped).
+    Verified pages are not emitted again.  Without a [sink] the
+    returned site still lists every page, in cold-build order.
+    [previous] supplies only the definition, schemas and query
+    profiles.  Output is byte-identical to a cold {!Site.build} over
     the same data. *)

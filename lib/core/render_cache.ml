@@ -13,6 +13,12 @@
     template set and clears itself wholesale when the templates change,
     since template text is an input the read traces do not cover.
 
+    The cache also carries the last publication a {!Render_pool} walk
+    made through it — the live page set with URLs and demand refs — and
+    a reverse index from read subjects to the pages that read them, so
+    a delta walk can start from the pages a change reaches instead of
+    from the roots.
+
     The cache is consulted and updated only from the main domain; the
     parallel {!Render_pool} validates entries before fanning out and
     stores fresh traces after joining. *)
@@ -37,28 +43,66 @@ type stats = {
   mutable invalidations : int;
 }
 
+type live = {
+  l_oid : Oid.t;
+  l_url : string;
+  l_refs : string list;
+}
+
 type t = {
   entries : (string, entry) Hashtbl.t;  (* page-object name → entry *)
+  (* reverse index over [entries]: read subject name → pages whose
+     trace read it, and the pages whose trace reads a file *)
+  readers : (string, (string, unit) Hashtbl.t) Hashtbl.t;
+  file_readers : (string, unit) Hashtbl.t;
   stats : stats;
   mutable templates_fp : int option;
-  (* sanitizer identity: field 0 = [entries]/[templates_fp], field 1 =
-     [stats].  Nothing locks them — the documented invariant is that
-     every access stays on the main domain, and instrumenting both
-     fields makes a sanitized parallel build check exactly that. *)
+  (* the declared templates, parsed: a walk's main-domain worker renders
+     with it, so a delta walk does not re-parse them *)
+  mutable compiled : G.compiled;
+  (* the last publication: the live page set, its URLs, and the live
+     pages that were published as placeholders (they have no entry) *)
+  live : (string, live) Hashtbl.t;
+  by_url : (string, string) Hashtbl.t;
+  placeholders : (string, unit) Hashtbl.t;
+  mutable carried : bool;
+  (* sanitizer identity: field 0 = [entries] and its reverse index plus
+     [templates_fp] and [compiled], field 1 = [stats], field 2 = the
+     publication.
+     Nothing locks them — the documented invariant is that every access
+     stays on the main domain, and instrumenting every field makes a
+     sanitized parallel build check exactly that. *)
   ds_obj : int;
 }
 
 let create () =
   {
     entries = Hashtbl.create 64;
+    readers = Hashtbl.create 64;
+    file_readers = Hashtbl.create 8;
     stats = { hits = 0; misses = 0; invalidations = 0 };
     templates_fp = None;
+    compiled = G.new_compiled ();
+    live = Hashtbl.create 64;
+    by_url = Hashtbl.create 64;
+    placeholders = Hashtbl.create 8;
+    carried = false;
     ds_obj = Dsan.alloc ~name:"Render_cache";
   }
 
+let reset_publication c =
+  Dsan.write ~site:__POS__ c.ds_obj 2;
+  Hashtbl.reset c.live;
+  Hashtbl.reset c.by_url;
+  Hashtbl.reset c.placeholders;
+  c.carried <- false
+
 let clear c =
   Dsan.write ~site:__POS__ c.ds_obj 0;
-  Hashtbl.reset c.entries
+  Hashtbl.reset c.entries;
+  Hashtbl.reset c.readers;
+  Hashtbl.reset c.file_readers;
+  reset_publication c
 
 let size c =
   Dsan.read ~site:__POS__ c.ds_obj 0;
@@ -73,6 +117,47 @@ let reset_stats c =
   c.stats.hits <- 0;
   c.stats.misses <- 0;
   c.stats.invalidations <- 0
+
+(* --- Entries and their reverse index --- *)
+
+let index_entry c page (e : entry) =
+  List.iter
+    (fun r ->
+      match r with
+      | G.R_attr (s, _, _) | G.R_edges (s, _) | G.R_colls (s, _) ->
+        let ps =
+          match Hashtbl.find_opt c.readers s with
+          | Some ps -> ps
+          | None ->
+            let ps = Hashtbl.create 4 in
+            Hashtbl.add c.readers s ps;
+            ps
+        in
+        Hashtbl.replace ps page ()
+      | G.R_file _ -> Hashtbl.replace c.file_readers page ())
+    e.e_reads
+
+let unindex_entry c page (e : entry) =
+  List.iter
+    (fun r ->
+      match r with
+      | G.R_attr (s, _, _) | G.R_edges (s, _) | G.R_colls (s, _) -> (
+        match Hashtbl.find_opt c.readers s with
+        | Some ps ->
+          Hashtbl.remove ps page;
+          if Hashtbl.length ps = 0 then Hashtbl.remove c.readers s
+        | None -> ())
+      | G.R_file _ -> Hashtbl.remove c.file_readers page)
+    e.e_reads
+
+(* every entry removal goes through here, so the index never names a
+   page whose entry is gone *)
+let remove_entry c page =
+  match Hashtbl.find_opt c.entries page with
+  | Some e ->
+    unindex_entry c page e;
+    Hashtbl.remove c.entries page
+  | None -> ()
 
 (* --- Template fingerprint --- *)
 
@@ -94,9 +179,15 @@ let set_templates c ts =
   let fp = fingerprint_templates ts in
   Dsan.write ~site:__POS__ c.ds_obj 0;
   (match c.templates_fp with
-   | Some old when old <> fp -> clear c
+   | Some old when old <> fp ->
+     clear c;
+     c.compiled <- G.new_compiled ()
    | _ -> ());
   c.templates_fp <- Some fp
+
+let compiled c =
+  Dsan.read ~site:__POS__ c.ds_obj 0;
+  c.compiled
 
 (* --- Trace verification --- *)
 
@@ -128,25 +219,18 @@ let verify_read ?(file_loader = fun _ -> None) g read =
     G.hash_strings colls = h
   | G.R_file (path, h) -> G.hash_file (file_loader path) = h
 
-let verify ?file_loader g entry =
-  List.for_all (verify_read ?file_loader g) entry.e_reads
-
-(** Like {!verify}, but with an exact change hint: [dirty name] must be
-    [true] for every site node whose values, out-edges or collection
-    membership changed since the entry's trace was recorded (the delta
-    cycle's touched ∪ removed names are exactly that set).  Graph reads
-    of non-dirty subjects are accepted without replay; dirty-subject
-    reads and file reads are replayed as usual.  Turns the per-publish
-    verification cost from O(site × trace) into O(changed × trace). *)
-let verify_dirty ?file_loader ~dirty g entry =
-  List.for_all
-    (fun r ->
-      match r with
-      | (G.R_attr (name, _, _) | G.R_edges (name, _) | G.R_colls (name, _))
-        when not (dirty name) ->
-        true
-      | r -> verify_read ?file_loader g r)
-    entry.e_reads
+let verify ?file_loader ?changed g entry =
+  match changed with
+  | None -> List.for_all (verify_read ?file_loader g) entry.e_reads
+  | Some changed ->
+    List.for_all
+      (fun r ->
+        match r with
+        | G.R_attr (s, _, _) | G.R_edges (s, _) | G.R_colls (s, _)
+          when not (Hashtbl.mem changed s) ->
+          true
+        | r -> verify_read ?file_loader g r)
+      entry.e_reads
 
 (** Look up the page for object [o] (keyed by its name) and re-verify
     its trace against [g].  Counts a hit on success; a stale entry is
@@ -166,7 +250,7 @@ let find_valid ?file_loader c g o =
     end
     else begin
       c.stats.invalidations <- c.stats.invalidations + 1;
-      Hashtbl.remove c.entries key;
+      remove_entry c key;
       None
     end
 
@@ -192,14 +276,14 @@ let settle c ~hits ~misses ~invalidations =
     degraded to a placeholder, which must not stay cached. *)
 let drop c o =
   Dsan.write ~site:__POS__ c.ds_obj 0;
-  Hashtbl.remove c.entries (Oid.name o)
+  remove_entry c (Oid.name o)
 
 (** Record a freshly rendered page (must come from [render_page_full
     ~trace_reads:true], else the entry would validate vacuously). *)
 let store c (r : G.rendered) =
   let p = r.G.r_page in
-  Dsan.write ~site:__POS__ c.ds_obj 0;
-  Hashtbl.replace c.entries (Oid.name p.G.obj)
+  let page = Oid.name p.G.obj in
+  let e =
     {
       e_url = p.G.url;
       e_title = p.G.title;
@@ -208,6 +292,11 @@ let store c (r : G.rendered) =
       e_reads = r.G.r_reads;
       e_refs = List.map Oid.name r.G.r_refs;
     }
+  in
+  Dsan.write ~site:__POS__ c.ds_obj 0;
+  remove_entry c page;
+  Hashtbl.replace c.entries page e;
+  index_entry c page e
 
 (** Rebuild a {!Template.Generator.page} for the current build's page
     object [o] from a validated entry. *)
@@ -220,6 +309,122 @@ let page_of_entry (e : entry) o : G.page =
     actually contain any, since the link render read their anchors). *)
 let refs_of_entry g (e : entry) : Oid.t list =
   List.filter_map (Graph.find_node g) e.e_refs
+
+(* --- The carried publication --- *)
+
+let begin_walk c ~delta =
+  Dsan.write ~site:__POS__ c.ds_obj 2;
+  let continues = delta && c.carried in
+  if continues then c.carried <- false else reset_publication c;
+  continues
+
+let find_live c page =
+  Dsan.read ~site:__POS__ c.ds_obj 2;
+  Hashtbl.find_opt c.live page
+
+let url_owner c url =
+  Dsan.read ~site:__POS__ c.ds_obj 2;
+  Hashtbl.find_opt c.by_url url
+
+let live_count c =
+  Dsan.read ~site:__POS__ c.ds_obj 2;
+  Hashtbl.length c.live
+
+let placeholder_count c =
+  Dsan.read ~site:__POS__ c.ds_obj 2;
+  Hashtbl.length c.placeholders
+
+let lookup c page =
+  Dsan.read ~site:__POS__ c.ds_obj 0;
+  Hashtbl.find_opt c.entries page
+
+let publish c o ~url ~refs ~placeholder =
+  let page = Oid.name o in
+  Dsan.write ~site:__POS__ c.ds_obj 2;
+  Hashtbl.replace c.live page { l_oid = o; l_url = url; l_refs = refs };
+  Hashtbl.replace c.by_url url page;
+  if placeholder then Hashtbl.replace c.placeholders page ()
+  else Hashtbl.remove c.placeholders page
+
+let commit c =
+  Dsan.write ~site:__POS__ c.ds_obj 2;
+  c.carried <- true
+
+(** Live pages whose bytes a change to [changed] may have altered: the
+    live readers of a changed name, live pages named by it, every live
+    placeholder (retried each time) and every live page whose trace
+    reads a file (files change without a graph delta).  Each once, in
+    that order. *)
+let candidates c ~changed =
+  Dsan.read ~site:__POS__ c.ds_obj 0;
+  Dsan.read ~site:__POS__ c.ds_obj 2;
+  let seen = Hashtbl.create 16 in
+  let out = ref [] in
+  let add page () =
+    if Hashtbl.mem c.live page && not (Hashtbl.mem seen page) then begin
+      Hashtbl.add seen page ();
+      out := page :: !out
+    end
+  in
+  List.iter
+    (fun n ->
+      add n ();
+      match Hashtbl.find_opt c.readers n with
+      | Some ps -> Hashtbl.iter add ps
+      | None -> ())
+    changed;
+  Hashtbl.iter add c.placeholders;
+  Hashtbl.iter add c.file_readers;
+  List.rev !out
+
+(** The live pages reachable from [roots] over the carried demand refs,
+    in discovery order — the order a cold walk publishes them in.  A
+    name-only walk: no entry lookups, no rendering.  With [sweep], the
+    live pages it does not reach leave the publication, with their
+    entries and index postings; returns the walk and that count. *)
+let mark c ~roots ~sweep =
+  Dsan.read ~site:__POS__ c.ds_obj 2;
+  let reached = Hashtbl.create (Hashtbl.length c.live) in
+  let order = ref [] in
+  let queue = Queue.create () in
+  let visit page =
+    if not (Hashtbl.mem reached page) then
+      match Hashtbl.find_opt c.live page with
+      | Some l ->
+        Hashtbl.add reached page ();
+        order := page :: !order;
+        Queue.add l.l_refs queue
+      | None -> ()
+  in
+  List.iter visit roots;
+  while not (Queue.is_empty queue) do
+    List.iter visit (Queue.pop queue)
+  done;
+  let dropped =
+    if not sweep then 0
+    else begin
+      let gone =
+        Hashtbl.fold
+          (fun page _ acc ->
+            if Hashtbl.mem reached page then acc else page :: acc)
+          c.live []
+      in
+      Dsan.write ~site:__POS__ c.ds_obj 0;
+      Dsan.write ~site:__POS__ c.ds_obj 2;
+      List.iter
+        (fun page ->
+          let l = Hashtbl.find c.live page in
+          Hashtbl.remove c.live page;
+          (match Hashtbl.find_opt c.by_url l.l_url with
+           | Some p when p = page -> Hashtbl.remove c.by_url l.l_url
+           | _ -> ());
+          Hashtbl.remove c.placeholders page;
+          remove_entry c page)
+        gone;
+      List.length gone
+    end
+  in
+  (List.rev !order, dropped)
 
 let pp_stats ppf c =
   Dsan.read ~site:__POS__ c.ds_obj 1;

@@ -8,7 +8,8 @@
     pages whose rendering observed it.  Entries are keyed by the page
     object's {e name} (its Skolem term), which is stable across rebuilds
     even though oids are not.  A template-set fingerprint clears the
-    cache wholesale when the presentation changes. *)
+    cache wholesale when the presentation changes.  The cache also
+    carries the last publication made through it (see below). *)
 
 open Sgraph
 
@@ -26,7 +27,10 @@ type entry = {
 type t
 
 val create : unit -> t
+
 val clear : t -> unit
+(** Drop every entry and the carried publication. *)
+
 val size : t -> int
 
 val stats : t -> int * int * int
@@ -39,21 +43,22 @@ val set_templates : t -> Template.Generator.template_set -> unit
     of fingerprint drops every entry (template text is an input the
     read traces cannot see). *)
 
-val verify :
-  ?file_loader:(string -> string option) -> Graph.t -> entry -> bool
-(** Replay the entry's trace against the graph; [true] iff every read
-    still returns the same result hash.  Does not touch statistics. *)
+val compiled : t -> Template.Generator.compiled
+(** The declared template set, parsed once for every walk through this
+    cache (main domain only; reset with the fingerprint). *)
 
-val verify_dirty :
+val verify :
   ?file_loader:(string -> string option) ->
-  dirty:(string -> bool) -> Graph.t -> entry -> bool
-(** {!verify} with an exact change hint: [dirty name] must hold for
-    every site node whose values, out-edges or collection membership
-    changed since the trace was recorded.  Graph reads of non-dirty
-    subjects are accepted without replay — O(changed) verification
-    instead of O(site) — while dirty-subject and file reads are
-    replayed.  Sound iff the hint covers every change; the delta
-    cycle's touched ∪ removed name sets do by construction. *)
+  ?changed:(string, unit) Hashtbl.t ->
+  Graph.t -> entry -> bool
+(** Replay the entry's trace against the graph; [true] iff every read
+    still returns the same result hash.  Does not touch statistics.
+    With [changed], only the reads of a subject in [changed] and the
+    file reads are replayed: sound only for a live page of a carried
+    publication that a delta walk re-checks, whose other reads held
+    when the last walk ended (every walk re-checks each live reader of
+    the names it was told changed).  Every other entry needs the full
+    replay. *)
 
 val find_valid :
   ?file_loader:(string -> string option) -> t -> Graph.t -> Oid.t ->
@@ -78,7 +83,12 @@ val drop : t -> Oid.t -> unit
 
 val store : t -> Template.Generator.rendered -> unit
 (** Record a freshly rendered page (render with [~trace_reads:true],
-    else the entry validates vacuously). *)
+    else the entry validates vacuously).  {!store} and {!drop} keep a
+    reverse index from each read subject name to the pages whose trace
+    read it, which {!candidates} reads. *)
+
+val lookup : t -> string -> entry option
+(** The entry for a page name, without verification or statistics. *)
 
 val page_of_entry : entry -> Oid.t -> Template.Generator.page
 (** Rebuild a page value for the current build's page object from a
@@ -86,5 +96,62 @@ val page_of_entry : entry -> Oid.t -> Template.Generator.page
 
 val refs_of_entry : Graph.t -> entry -> Oid.t list
 (** The entry's referenced objects resolved in the current graph. *)
+
+(** {1 The carried publication}
+
+    The cache also carries the last publication a {!Render_pool} walk
+    made through it: the live page set (page name → page object, URL
+    and demand refs), a URL → page map for collision checks and the
+    live pages published as placeholders.  A delta publish
+    starts from it instead of walking the whole site: it re-checks only
+    the {!candidates} of a change, renders the new pages their refs
+    reach and, when refs were dropped, {!mark}s from the roots to find
+    the pages that left.  Main domain only, like the entries. *)
+
+type live = {
+  l_oid : Oid.t;
+  l_url : string;
+  l_refs : string list;  (** names of the pages it links to *)
+}
+
+val reset_publication : t -> unit
+(** Forget the carried publication (entries stay): the next walk is
+    cold. *)
+
+val begin_walk : t -> delta:bool -> bool
+(** Start a walk through the cache.  [true] when [delta] and a
+    publication is carried (the last walk completed without a URL
+    collision): the walk continues it.  Otherwise the publication is
+    forgotten (entries stay) and the walk is cold.  Either way nothing
+    is carried until {!commit}, so a walk that raises leaves the next
+    one cold. *)
+
+val find_live : t -> string -> live option
+val url_owner : t -> string -> string option
+(** The live page published at a URL. *)
+
+val live_count : t -> int
+val placeholder_count : t -> int
+
+val publish :
+  t -> Oid.t -> url:string -> refs:string list -> placeholder:bool -> unit
+(** Record a page of the current walk as live. *)
+
+val commit : t -> unit
+(** Mark the walk complete: its publication is carried. *)
+
+val candidates : t -> changed:string list -> string list
+(** The live pages a change to the site nodes [changed] may have
+    altered: live pages named in [changed], the live readers of a
+    changed name (the reverse index), every live placeholder (retried
+    each time) and every live page whose trace reads a file.  Each
+    once.  The cost is the size of the answer, not of the site. *)
+
+val mark : t -> roots:string list -> sweep:bool -> string list * int
+(** The live pages reachable from [roots] over the carried refs, in
+    cold-walk discovery order — a name-only walk with no lookups and no
+    rendering.  With [sweep], live pages it does not reach leave the
+    publication together with their entries and index postings; the
+    count of those is returned (0 without [sweep]). *)
 
 val pp_stats : Format.formatter -> t -> unit

@@ -46,7 +46,15 @@
     the main domain, trace verification (pure graph reads) runs on the
     worker domains alongside rendering, and the verdicts are settled
     back into the cache on the main domain after the slice joins — the
-    cache table itself is only ever mutated from the main domain. *)
+    cache table itself is only ever mutated from the main domain.
+
+    Delta walks.  A walk through a cache also records the publication
+    it made in the cache ({!Render_cache.live}).  Given the names a
+    change touched ([~changed]), the same loop starts from that
+    publication instead of from the roots: it is seeded with the live
+    pages the change may have altered and the new roots, emits only
+    fresh renders and new pages, walks refs only out of those, and
+    sweeps the pages no longer reachable. *)
 
 module G = Template.Generator
 open Sgraph
@@ -61,6 +69,10 @@ type profile = {
   rp_jobs : int;
   rp_pages : int;     (** pages in the final site *)
   rp_rendered : int;  (** pages actually rendered (not served from cache) *)
+  rp_emitted : int;
+      (** pages handed to the sink (or to the page list): every page on
+          a cold walk, the fresh renders and new pages on a delta walk *)
+  rp_dropped : int;  (** live pages that left the site on a delta walk *)
   rp_waves : int;
   rp_steals : int;
       (** chunks executed by a worker other than the one they were
@@ -80,9 +92,10 @@ type profile = {
 
 let pp_profile ppf p =
   Fmt.pf ppf
-    "@[<v>jobs=%d pages=%d rendered=%d waves=%d steals=%d wall=%.2fms \
-     cache=%d/%d/%d (hit/miss/invalid)%s%s"
-    p.rp_jobs p.rp_pages p.rp_rendered p.rp_waves p.rp_steals p.rp_wall_ms
+    "@[<v>jobs=%d pages=%d rendered=%d emitted=%d dropped=%d waves=%d \
+     steals=%d wall=%.2fms cache=%d/%d/%d (hit/miss/invalid)%s%s"
+    p.rp_jobs p.rp_pages p.rp_rendered p.rp_emitted p.rp_dropped p.rp_waves
+    p.rp_steals p.rp_wall_ms
     p.rp_cache_hits p.rp_cache_misses p.rp_cache_invalidations
     (if p.rp_fallback then " FALLBACK(sequential)" else "")
     (if p.rp_degraded > 0 then Printf.sprintf " DEGRADED(%d)" p.rp_degraded
@@ -102,8 +115,9 @@ let auto_jobs = Pool.auto_jobs
 
 type sink = {
   sk_emit : G.page -> unit;
-      (** called once per page, in canonical (sequential discovery)
-          order; the pool retains nothing after the call *)
+      (** called once per emitted page, in walk order (canonical
+          discovery order on a cold walk); the pool retains nothing
+          after the call *)
   sk_reset : unit -> unit;
       (** called if a URL collision forces the sequential fallback:
           everything emitted so far is invalid and will be re-emitted *)
@@ -111,7 +125,10 @@ type sink = {
 
 (** A sink that writes each page below [dir] as {!G.write_site} would
     (the directory is created if missing); reset removes the emitted
-    files. *)
+    files.  Each page is written to a temporary file in [dir] and
+    renamed over its path, so a reader (or a crash) sees the old page
+    or the new one, never a truncated one.  The emitted paths are kept
+    once each, however often a page is re-emitted. *)
 let file_sink ~dir =
   let rec mkdirs d =
     if d <> "." && d <> "/" && not (Sys.file_exists d) then begin
@@ -120,19 +137,32 @@ let file_sink ~dir =
     end
   in
   mkdirs dir;
-  let written = ref [] in
+  let written = Hashtbl.create 64 in
   {
     sk_emit =
       (fun p ->
         let path = Filename.concat dir p.G.url in
-        let oc = open_out path in
-        output_string oc p.G.html;
-        close_out oc;
-        written := path :: !written);
+        (* same directory, so the rename is atomic; created with the
+           mode (and umask) a plain [open_out] would give the page *)
+        let tmp =
+          Filename.concat dir
+            (Printf.sprintf ".%s.%d.tmp" p.G.url (Unix.getpid ()))
+        in
+        (try
+           Out_channel.with_open_gen
+             [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o666 tmp
+             (fun oc -> Out_channel.output_string oc p.G.html);
+           Sys.rename tmp path
+         with e ->
+           (try Sys.remove tmp with Sys_error _ -> ());
+           raise e);
+        Hashtbl.replace written path ());
     sk_reset =
       (fun () ->
-        List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) !written;
-        written := []);
+        Hashtbl.iter
+          (fun p () -> try Sys.remove p with Sys_error _ -> ())
+          written;
+        Hashtbl.reset written);
   }
 
 (** How many pages a wave slice holds in memory at once (and the
@@ -157,7 +187,7 @@ type slot =
     ({!auto_jobs}).  Otherwise the work-stealing wave loop runs on
     [jobs] domains (the main domain renders alongside [jobs - 1] pool
     workers). *)
-let materialize ?(jobs = 1) ?cache ?dirty ?file_loader
+let materialize ?(jobs = 1) ?cache ?changed ?file_loader
     ?(templates = G.empty_templates) ?(on_error = Fault.Abort) ?fault ?sink
     ?(refreeze = true) (g : Graph.t) ~(roots : Oid.t list) :
     G.site * profile =
@@ -189,6 +219,8 @@ let materialize ?(jobs = 1) ?cache ?dirty ?file_loader
         rp_jobs = 1;
         rp_pages = pages;
         rp_rendered = pages;
+        rp_emitted = pages;
+        rp_dropped = 0;
         rp_waves = 1;
         rp_steals = 0;
         rp_shards = [ { sh_domain = 0; sh_pages = pages; sh_wall_ms = wall } ];
@@ -204,20 +236,92 @@ let materialize ?(jobs = 1) ?cache ?dirty ?file_loader
     (match cache with
      | Some c -> Render_cache.set_templates c templates
      | None -> ());
+    (* a delta walk starts from the publication the cache carries; every
+       other walk through a cache is cold and rebuilds it *)
+    let delta =
+      match cache with
+      | Some c when Render_cache.begin_walk c ~delta:(changed <> None) ->
+        let names = Option.get changed in
+        let tbl = Hashtbl.create 16 in
+        List.iter (fun n -> Hashtbl.replace tbl n ()) names;
+        Some (c, names, tbl)
+      | _ -> None
+    in
     (* this run's cache verdicts, summed over the settled slices *)
     let hits = ref 0 and misses = ref 0 and invals = ref 0 in
     let trace = cache <> None in
-    let compiled = Array.init jobs (fun _ -> G.new_compiled ()) in
-    let seen = Oid.Tbl.create 1024 in
+    (* worker 0 is the main domain: it renders with the cache's
+       carried parse of the templates *)
+    let compiled =
+      Array.init jobs (fun w ->
+          match cache with
+          | Some c when w = 0 -> Render_cache.compiled c
+          | _ -> G.new_compiled ())
+    in
+    let seen = Oid.Tbl.create 64 in
+    let collision = ref false in
+    (* pages to walk: not walked yet this run, and not a live page of
+       the carried publication (a cold walk carries none).  A live name
+       held by a different node that is still in the graph is a URL
+       collision; one whose node is gone is being replaced. *)
+    let is_new o =
+      (not (Oid.Tbl.mem seen o))
+      &&
+      match cache with
+      | None -> true
+      | Some c -> (
+        match Render_cache.find_live c (Oid.name o) with
+        | None -> true
+        | Some l when Oid.equal l.Render_cache.l_oid o -> false
+        | Some l ->
+          if Graph.mem_node g l.Render_cache.l_oid then begin
+            collision := true;
+            false
+          end
+          else true)
+    in
     let dedup os =
       List.filter
         (fun o ->
-          if Oid.Tbl.mem seen o then false
-          else begin
+          is_new o
+          && begin
             Oid.Tbl.add seen o ();
             true
           end)
         os
+    in
+    (* set when the walk may have orphaned live pages: mark from the
+       roots afterwards and sweep what it does not reach *)
+    let need_mark = ref false in
+    (* a delta walk starts at the roots that are new and at the live
+       pages the change may have altered; a cold walk at the roots *)
+    let seeds =
+      match delta with
+      | None -> dedup roots
+      | Some (c, names, _) ->
+        let fresh_roots = dedup roots in
+        let stale =
+          List.filter_map
+            (fun page ->
+              let l = Option.get (Render_cache.find_live c page) in
+              let o =
+                if Graph.mem_node g l.Render_cache.l_oid then
+                  Some l.Render_cache.l_oid
+                else begin
+                  (* the node left the graph: orphans are possible, and
+                     a node now holding the name replaces it *)
+                  need_mark := true;
+                  Graph.find_node g page
+                end
+              in
+              match o with
+              | Some o when not (Oid.Tbl.mem seen o) ->
+                Oid.Tbl.add seen o ();
+                Some o
+              | _ -> None)
+            (Render_cache.candidates c ~changed:names)
+        in
+        fresh_roots @ stale
     in
     let shard_pages = Array.make jobs 0 in
     let shard_ms = Array.make jobs 0. in
@@ -229,17 +333,55 @@ let materialize ?(jobs = 1) ?cache ?dirty ?file_loader
     let steals = ref 0 in
     let rendered_count = ref 0 in
     let all_reports = ref [] in
-    let pages_rev = ref [] in  (* only fed without a sink *)
+    let pages_rev = ref [] in  (* cold walk without a sink *)
+    let fresh = Hashtbl.create 16 in  (* delta walk without a sink *)
     let emitted = ref 0 in
-    let urls = Hashtbl.create 1024 in
-    let collision = ref false in
+    let urls = Hashtbl.create 64 in  (* URLs published by this walk *)
     let emit (p : G.page) =
-      if Hashtbl.mem urls p.G.url then collision := true
-      else Hashtbl.add urls p.G.url ();
-      (match sink with
-       | Some s -> s.sk_emit p
-       | None -> pages_rev := p :: !pages_rev);
+      (match (sink, delta) with
+       | Some s, _ -> s.sk_emit p
+       | None, None -> pages_rev := p :: !pages_rev
+       | None, Some _ -> Hashtbl.replace fresh (Oid.name p.G.obj) p);
       incr emitted
+    in
+    (* settle one walked page on the main domain: the collision check,
+       the carried publication, emission and the refs to walk next.  A
+       page already live is emitted only when freshly rendered; its
+       refs are followed only then too (a verified hit links to what it
+       linked to). *)
+    let settle_page (p : G.page) refs ~rendered ~placeholder =
+      let prev =
+        match cache with
+        | Some c -> Render_cache.find_live c (Oid.name p.G.obj)
+        | None -> None
+      in
+      let url = p.G.url in
+      (if Hashtbl.mem urls url then collision := true
+       else
+         match (prev, cache) with
+         | None, Some c when Render_cache.url_owner c url <> None ->
+           collision := true
+         | _ -> Hashtbl.add urls url ());
+      let names = List.map Oid.name refs in
+      (match cache with
+       | Some c -> Render_cache.publish c p.G.obj ~url ~refs:names ~placeholder
+       | None -> ());
+      match prev with
+      | Some _ when not rendered -> []
+      | _ ->
+        emit p;
+        (* a live page that stopped linking somewhere may orphan it *)
+        (match prev with
+         | Some l when (not !need_mark) && l.Render_cache.l_refs <> names ->
+           let now = Hashtbl.create 16 in
+           List.iter (fun n -> Hashtbl.replace now n ()) names;
+           if
+             List.exists
+               (fun n -> not (Hashtbl.mem now n))
+               l.Render_cache.l_refs
+           then need_mark := true
+         | _ -> ());
+        refs
     in
     let render_one w o =
       let render () =
@@ -263,7 +405,7 @@ let materialize ?(jobs = 1) ?cache ?dirty ?file_loader
               (Fault.report ~stage:Fault.Render ~source:(Graph.name g)
                  ~location:url ~cause ()) ))
     in
-    let frontier = ref (dedup roots) in
+    let frontier = ref seeds in
     while !frontier <> [] && not !collision do
       incr waves;
       let arr = Array.of_list !frontier in
@@ -279,10 +421,25 @@ let materialize ?(jobs = 1) ?cache ?dirty ?file_loader
           | Some c -> Render_cache.peek_batch c (Array.sub arr base len)
           | None -> Array.make (min len 1) None
         in
+        (* live pages of a continued publication need only their reads
+           of changed names replayed ({!Render_cache.verify}) *)
+        let live_tbl =
+          match delta with
+          | Some (c, _, tbl) ->
+            let live o =
+              match Render_cache.find_live c (Oid.name o) with
+              | Some l -> Oid.equal l.Render_cache.l_oid o
+              | None -> false
+            in
+            Array.init len (fun i ->
+                if live arr.(base + i) then Some tbl else None)
+          | None -> [||]
+        in
         let slots : slot option array = Array.make len None in
         (* sanitizer identity for the slice: field [i] covers cell [i]
-           of [ents] (written on the main domain before fan-out) and of
-           [slots] (written by exactly one worker, read at settle) *)
+           of [ents] and [live_tbl] (written on the main domain before
+           fan-out) and of [slots] (written by exactly one worker, read
+           at settle) *)
         let ds_slice = Dsan.alloc ~name:"Render_pool.slice" in
         if Dsan.enabled () then
           for i = 0 to len - 1 do
@@ -290,17 +447,15 @@ let materialize ?(jobs = 1) ?cache ?dirty ?file_loader
           done;
         (* executed on worker domains: verify the prefetched entry or
            render; each slot is written by exactly one worker *)
-        let verify_entry e =
-          match dirty with
-          | Some d -> Render_cache.verify_dirty ?file_loader ~dirty:d g e
-          | None -> Render_cache.verify ?file_loader g e
-        in
         let process w i =
           Dsan.write ~site:__POS__ ds_slice i;
           Dsan.write ~site:__POS__ ds_shard w;
           let o = arr.(base + i) in
           match if cache = None then None else ents.(i) with
-          | Some e when verify_entry e ->
+          | Some e
+            when Render_cache.verify ?file_loader
+                   ?changed:(if delta = None then None else live_tbl.(i))
+                   g e ->
             slots.(i) <-
               Some
                 (S_hit
@@ -335,7 +490,7 @@ let materialize ?(jobs = 1) ?cache ?dirty ?file_loader
         (* settle the slice on the main domain, in frontier order:
            cache verdicts and stores, fault reports (sorted by URL so
            manifests are identical whatever the stealing produced),
-           page emission, demand refs *)
+           publication and emission, demand refs *)
         let sl_hits = ref 0 and sl_miss = ref 0 and sl_inval = ref 0 in
         let sl_reports = ref [] in
         for i = 0 to len - 1 do
@@ -343,8 +498,9 @@ let materialize ?(jobs = 1) ?cache ?dirty ?file_loader
           match slots.(i) with
           | Some (S_hit (p, refs)) ->
             incr sl_hits;
-            refs_acc := refs :: !refs_acc;
-            emit p
+            refs_acc :=
+              settle_page p refs ~rendered:false ~placeholder:false
+              :: !refs_acc
           | Some (S_fresh (r, report, stale)) ->
             incr rendered_count;
             if stale then incr sl_inval else incr sl_miss;
@@ -357,8 +513,10 @@ let materialize ?(jobs = 1) ?cache ?dirty ?file_loader
             (match report with
              | Some rep -> sl_reports := rep :: !sl_reports
              | None -> ());
-            refs_acc := r.G.r_refs :: !refs_acc;
-            emit r.G.r_page
+            refs_acc :=
+              settle_page r.G.r_page r.G.r_refs ~rendered:true
+                ~placeholder:(report <> None)
+              :: !refs_acc
           | None -> assert false  (* Pool.run re-raised before settling *)
         done;
         (match cache with
@@ -375,16 +533,19 @@ let materialize ?(jobs = 1) ?cache ?dirty ?file_loader
               (fun a b -> compare a.Fault.f_location b.Fault.f_location)
               (List.rev !sl_reports)
       done;
-      (* next wave: referenced objects not yet seen, discovered in
-         deterministic frontier × reference order — the concatenation of
-         these frontiers replays the sequential generator's queue *)
+      (* next wave: referenced objects not yet walked, discovered in
+         deterministic frontier × reference order — on a cold walk the
+         concatenation of these frontiers replays the sequential
+         generator's queue *)
       frontier := dedup (List.concat (List.rev !refs_acc))
     done;
-    let mk_profile ~site_pages ~fallback ~degraded =
+    let mk_profile ~site_pages ~fallback ~degraded ~dropped =
       {
         rp_jobs = jobs;
         rp_pages = site_pages;
         rp_rendered = !rendered_count;
+        rp_emitted = !emitted;
+        rp_dropped = dropped;
         rp_waves = !waves;
         rp_steals = !steals;
         rp_shards =
@@ -406,15 +567,18 @@ let materialize ?(jobs = 1) ?cache ?dirty ?file_loader
     if !collision then begin
       (* distinct pages share a slug: only the sequential generator's
          discovery-ordered uniquification produces the reference URLs,
-         and name-keyed cache entries are ambiguous — drop them.  The
-         pool's queued fault reports are discarded with its output; the
-         generator records its own. *)
+         and name-keyed cache entries are ambiguous — drop them with
+         the publication, so the next walk is cold.  The pool's queued
+         fault reports are discarded with its output; the generator
+         records its own. *)
       (match cache with Some c -> Render_cache.clear c | None -> ());
       (match sink with Some s -> s.sk_reset () | None -> ());
       let site = G.generate ?file_loader ~templates ~on_error ?fault g ~roots in
       let degraded = List.length (List.filter G.is_placeholder site.G.pages) in
+      let pages = G.page_count site in
+      emitted := pages;
       let profile =
-        mk_profile ~site_pages:(G.page_count site) ~fallback:true ~degraded
+        mk_profile ~site_pages:pages ~fallback:true ~degraded ~dropped:0
       in
       match sink with
       | Some s ->
@@ -426,11 +590,40 @@ let materialize ?(jobs = 1) ?cache ?dirty ?file_loader
       (match fault with
        | Some c -> List.iter (Fault.record c) !all_reports
        | None -> ());
-      let pages =
-        match sink with Some _ -> [] | None -> List.rev !pages_rev
+      let pages, dropped =
+        match delta with
+        | None ->
+          ((match sink with Some _ -> [] | None -> List.rev !pages_rev), 0)
+        | Some (c, _, _) ->
+          (* without a sink the site is every live page in cold-walk
+             order: replay discovery over the carried refs *)
+          let want_pages = sink = None in
+          if not (!need_mark || want_pages) then ([], 0)
+          else begin
+            let order, dropped =
+              Render_cache.mark c ~roots:(List.map Oid.name roots)
+                ~sweep:!need_mark
+            in
+            let page name =
+              match Hashtbl.find_opt fresh name with
+              | Some p -> p
+              | None ->
+                let l = Option.get (Render_cache.find_live c name) in
+                Render_cache.page_of_entry
+                  (Option.get (Render_cache.lookup c name))
+                  l.Render_cache.l_oid
+            in
+            ((if want_pages then List.map page order else []), dropped)
+          end
+      in
+      let site_pages, degraded =
+        match cache with
+        | Some c ->
+          Render_cache.commit c;
+          (Render_cache.live_count c, Render_cache.placeholder_count c)
+        | None -> (!emitted, List.length !all_reports)
       in
       ( { G.pages; graph = g },
-        mk_profile ~site_pages:!emitted ~fallback:false
-          ~degraded:(List.length !all_reports) )
+        mk_profile ~site_pages ~fallback:false ~degraded ~dropped )
     end
   end

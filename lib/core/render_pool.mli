@@ -18,7 +18,10 @@
     slice size, not the site size.  A {!Render_cache} short-circuits
     rendering with batched lookups: a slice's entries are prefetched in
     one pass, traces verify on the worker domains, and verdicts settle
-    back on the main domain. *)
+    back on the main domain.  A walk through a cache records its
+    publication there, and a later walk given the changed names
+    ([~changed]) starts from it: a delta walk, whose cost is the
+    change's rather than the site's. *)
 
 open Sgraph
 
@@ -32,6 +35,10 @@ type profile = {
   rp_jobs : int;
   rp_pages : int;     (** pages in the final site *)
   rp_rendered : int;  (** pages actually rendered (not served from cache) *)
+  rp_emitted : int;
+      (** pages handed to the sink (or to the page list): every page on
+          a cold walk, the fresh renders and new pages on a delta walk *)
+  rp_dropped : int;  (** live pages that left the site on a delta walk *)
   rp_waves : int;
   rp_steals : int;
       (** chunks executed by a worker other than the one they were
@@ -57,8 +64,9 @@ val auto_jobs : unit -> int
 
 type sink = {
   sk_emit : Template.Generator.page -> unit;
-      (** called once per page, in canonical (sequential discovery)
-          order; the pool retains nothing after the call *)
+      (** called once per emitted page, in walk order (canonical
+          discovery order on a cold walk); the pool retains nothing
+          after the call *)
   sk_reset : unit -> unit;
       (** called if a URL collision forces the sequential fallback:
           everything emitted so far is invalid and will be re-emitted *)
@@ -66,8 +74,10 @@ type sink = {
 
 val file_sink : dir:string -> sink
 (** A sink writing each page below [dir] (created if missing), as
-    {!Template.Generator.write_site} would; reset removes the files
-    emitted so far. *)
+    {!Template.Generator.write_site} would: to a temporary file in
+    [dir], then renamed into place, so a reader or a crash never sees
+    a truncated page.  It remembers each emitted path once (not once
+    per emission); reset removes those files. *)
 
 val default_slice : int
 (** Bound on pages a wave slice holds in memory at once — also
@@ -77,7 +87,7 @@ val default_slice : int
 val materialize :
   ?jobs:int ->
   ?cache:Render_cache.t ->
-  ?dirty:(string -> bool) ->
+  ?changed:string list ->
   ?file_loader:(string -> string option) ->
   ?templates:Template.Generator.template_set ->
   ?on_error:Fault.on_error ->
@@ -100,10 +110,23 @@ val materialize :
     the returned site has an empty page list ([profile.rp_pages] still
     counts them); peak memory is bounded by {!default_slice} pages.
 
-    [dirty] (with [cache]) is an exact change hint for trace
-    verification — see {!Render_cache.verify_dirty}.  The delta publish
-    path passes the cycle's touched ∪ removed site-node names, making
-    cache verification O(changed) instead of O(site).
+    With [cache], the walk also rebuilds the publication the cache
+    carries ({!Render_cache.live}).  [changed] (with [cache]) makes it
+    a {e delta} walk from that publication: [changed] must name every
+    site node whose values, out-edges or collection membership changed
+    since it (the delta cycle's touched ∪ removed names do).  The walk
+    is seeded with {!Render_cache.candidates} and the new roots instead
+    of the roots; a candidate whose trace still verifies is a hit and
+    is not emitted, a fresh render is, and a ref to a page outside the
+    live set is walked as a new page.  When a re-rendered page dropped
+    a ref or a live page's node left the graph (a removed root is one),
+    {!Render_cache.mark} sweeps the pages that left the site
+    ([rp_dropped]; their published files are not removed).  Without a
+    sink the returned site is still every page, in cold-walk order:
+    the mark replays discovery over the carried refs.  The cost is the
+    change's, not the site's, apart from that replay.  With no carried
+    publication (a fresh cache, or one cleared by a collision or a
+    template change) the walk is cold.
 
     [refreeze:false] skips the graph freeze when running sequentially
     (an O(site) cost the delta publish path avoids every cycle); with
@@ -117,3 +140,4 @@ val materialize :
     is never stored in the render cache.  Degraded builds always run
     the wave loop — even at [jobs = 1] — so degraded output is
     identical across [jobs]. *)
+

@@ -102,14 +102,13 @@ let build_site_graph ?scope ?into def (data : Graph.t) =
   in
   (site_graph, scope, schemas, stats)
 
-let roots_of site_graph family =
-  Schema.Verify.family_members site_graph family
+let roots_of site_graph family = Graph.family_members site_graph family
 
 (** Turn an evaluated site graph into a [built]: the roots check, page
     materialization, constraint verification and the record.  Every
     producer of a [built] — the cold {!build}, [strudel watch]'s first
     publish and its delta publishes — ends here. *)
-let of_site_graph ?jobs ?render_cache ?dirty ?refreeze ?file_loader ?on_error
+let of_site_graph ?jobs ?render_cache ?changed ?refreeze ?file_loader ?on_error
     ?fault ?sink ~data ~scope ~schemas ~query_stats (def : definition)
     site_graph : built =
   let roots = roots_of site_graph def.root_family in
@@ -119,7 +118,7 @@ let of_site_graph ?jobs ?render_cache ?dirty ?refreeze ?file_loader ?on_error
          (Printf.sprintf "no pages of root family %s in site graph %s"
             def.root_family def.name));
   let site, render_profile =
-    Render_pool.materialize ?jobs ?cache:render_cache ?dirty ?file_loader
+    Render_pool.materialize ?jobs ?cache:render_cache ?changed ?file_loader
       ?on_error ?fault ?sink ?refreeze ~templates:def.templates site_graph
       ~roots
   in

@@ -68,12 +68,15 @@ val build_site_graph :
     row counts and the peak live-binding watermark of each query. *)
 
 val roots_of : Graph.t -> string -> Oid.t list
-(** Members of the root Skolem family in a site graph. *)
+(** Members of the root Skolem family in a site graph: exactly
+    {!Schema.Verify.family_members}' list, read from the graph's
+    family index ({!Sgraph.Graph.family_members}) instead of a scan
+    of every node. *)
 
 val of_site_graph :
   ?jobs:int ->
   ?render_cache:Render_cache.t ->
-  ?dirty:(string -> bool) ->
+  ?changed:string list ->
   ?refreeze:bool ->
   ?file_loader:(string -> string option) ->
   ?on_error:Fault.on_error ->

@@ -168,13 +168,7 @@ let check_schema (s : Site_schema.t) (c : constraint_) : verdict =
 
 (** The Skolem family of a node, recovered from its name
     ("YearPage(1997)" → "YearPage"). *)
-let family_of_node o =
-  let n = Oid.name o in
-  match String.index_opt n '(' with
-  | Some i when i > 0 && String.length n > 0 && n.[String.length n - 1] = ')'
-    ->
-    Some (String.sub n 0 i)
-  | _ -> None
+let family_of_node o = Graph.family_of_name (Oid.name o)
 
 let family_members g fam =
   List.filter (fun o -> family_of_node o = Some fam) (Graph.nodes g)

@@ -42,6 +42,8 @@ type cycle_report = {
   cy_removed : int;
   cy_rerendered : int;
   cy_reused : int;
+  cy_emitted : int;
+  cy_dropped : int;
   cy_fallbacks : (string * string) list;
   cy_quarantined : (string * string) list;
   cy_wall_ms : float;
@@ -58,6 +60,8 @@ let clean_report ~cycle ~quarantined ~wall =
     cy_removed = 0;
     cy_rerendered = 0;
     cy_reused = 0;
+    cy_emitted = 0;
+    cy_dropped = 0;
     cy_fallbacks = [];
     cy_quarantined = quarantined;
     cy_wall_ms = wall;
@@ -127,6 +131,7 @@ let run_delta (t : t) ~t0 ~quarantined ?data delta : cycle_report =
       ~removed:ch.Struql.Dexec.sc_removed ()
   in
   t.built <- report.Strudel.Incremental.built;
+  let rp = t.built.Strudel.Site.render_profile in
   {
     cy_cycle = t.cycles;
     cy_changed = true;
@@ -137,6 +142,8 @@ let run_delta (t : t) ~t0 ~quarantined ?data delta : cycle_report =
     cy_removed = List.length ch.Struql.Dexec.sc_removed;
     cy_rerendered = report.Strudel.Incremental.pages_rerendered;
     cy_reused = report.Strudel.Incremental.pages_reused;
+    cy_emitted = rp.Strudel.Render_pool.rp_emitted;
+    cy_dropped = rp.Strudel.Render_pool.rp_dropped;
     cy_fallbacks = ch.Struql.Dexec.sc_fallbacks;
     cy_quarantined = quarantined;
     cy_wall_ms = wall ();
@@ -195,9 +202,10 @@ let pp_report ppf (r : cycle_report) =
   else begin
     Format.fprintf ppf
       "cycle %d: |delta|=%d drivers=%d rows=%d touched=%d removed=%d \
-       rerendered=%d reused=%d (%.1f ms)"
+       rerendered=%d reused=%d emitted=%d dropped=%d (%.1f ms)"
       r.cy_cycle r.cy_delta_card r.cy_drivers r.cy_rows r.cy_touched
-      r.cy_removed r.cy_rerendered r.cy_reused r.cy_wall_ms;
+      r.cy_removed r.cy_rerendered r.cy_reused r.cy_emitted r.cy_dropped
+      r.cy_wall_ms;
     List.iter
       (fun (path, reason) ->
         Format.fprintf ppf "@.  fallback %s: %s" path reason)

@@ -39,6 +39,8 @@ type cycle_report = {
   cy_removed : int;  (** site nodes removed *)
   cy_rerendered : int;
   cy_reused : int;
+  cy_emitted : int;  (** pages handed to the sink *)
+  cy_dropped : int;  (** pages that left the site *)
   cy_fallbacks : (string * string) list;
       (** (block path, reason) of full block replays this cycle *)
   cy_quarantined : (string * string) list;
@@ -104,4 +106,4 @@ val warehouse : t -> Mediator.Warehouse.t option
 
 val pp_report : Format.formatter -> cycle_report -> unit
 (** One line per cycle (plus fallback/quarantine detail lines) — the
-    [strudel watch] console format. *)
+    [strudel watch] console format ([--stats]). *)

@@ -37,6 +37,9 @@ type t = {
   colls : (string, coll) Hashtbl.t;
   mutable coll_order_rev : string list;
   names : (string, Oid.t) Hashtbl.t;
+  (* Skolem family -> member nodes in insertion order: the order
+     [nodes] lists them in, without its O(graph) walk *)
+  families : (string, (int, Oid.t) Obag.t) Hashtbl.t;
   (* indexes, maintained only when [use_index]; buckets are ordered bags
      so [remove_edge] is O(1) per bucket instead of a re-filter *)
   label_idx : (string, (int * tkey, Oid.t * target) Obag.t) Hashtbl.t;
@@ -72,6 +75,7 @@ let create ?(indexed = true) ?(name = "g") () =
     colls = Hashtbl.create 8;
     coll_order_rev = [];
     names = Hashtbl.create 64;
+    families = Hashtbl.create 8;
     label_idx = Hashtbl.create 32;
     value_idx = Hashtbl.create 128;
     in_idx = Oid.Tbl.create 64;
@@ -94,13 +98,33 @@ let touch g =
   Dsan.write ~site:__POS__ g.dsan_obj 0;
   g.generation <- g.generation + 1
 
+(* "YearPage(1997)" -> "YearPage"; names that are not Skolem terms
+   have no family *)
+let family_of_name n =
+  match String.index_opt n '(' with
+  | Some i when i > 0 && n.[String.length n - 1] = ')' ->
+    Some (String.sub n 0 i)
+  | _ -> None
+
 let add_node g o =
   if not (Oid.Set.mem o g.nodes) then begin
     touch g;
     g.nodes <- Oid.Set.add o g.nodes;
     g.node_order_rev <- o :: g.node_order_rev;
     if not (Hashtbl.mem g.names (Oid.name o)) then
-      Hashtbl.add g.names (Oid.name o) o
+      Hashtbl.add g.names (Oid.name o) o;
+    match family_of_name (Oid.name o) with
+    | Some f ->
+      let bag =
+        match Hashtbl.find_opt g.families f with
+        | Some b -> b
+        | None ->
+          let b = Obag.create () in
+          Hashtbl.add g.families f b;
+          b
+      in
+      Obag.add bag (Oid.id o) o
+    | None -> ()
   end
 
 let new_node g hint =
@@ -113,6 +137,11 @@ let nodes g = List.rev g.node_order_rev
 let node_set g = g.nodes
 let node_count g = Oid.Set.cardinal g.nodes
 let find_node g n = Hashtbl.find_opt g.names n
+
+let family_members g f =
+  match Hashtbl.find_opt g.families f with
+  | Some b -> Obag.to_list b
+  | None -> []
 
 let note_label g l =
   if not (Hashtbl.mem g.label_seen l) then begin
@@ -540,6 +569,12 @@ let remove_node g o =
       List.filter (fun x -> not (Oid.equal x o)) g.node_order_rev;
     Oid.Tbl.remove g.out_tbl o;
     Oid.Tbl.remove g.in_idx o;
+    (match family_of_name (Oid.name o) with
+     | Some f -> (
+       match Hashtbl.find_opt g.families f with
+       | Some b -> Obag.remove b (Oid.id o)
+       | None -> ())
+     | None -> ());
     match Hashtbl.find_opt g.names (Oid.name o) with
     | Some o' when Oid.equal o o' -> Hashtbl.remove g.names (Oid.name o)
     | _ -> ()

@@ -42,6 +42,15 @@ val node_count : t -> int
 val find_node : t -> string -> Oid.t option
 (** Look up a node by its oid name (first added wins). *)
 
+val family_of_name : string -> string option
+(** The Skolem family of a node name (["YearPage(1997)"] →
+    ["YearPage"]); [None] for names that are not Skolem terms. *)
+
+val family_members : t -> string -> Oid.t list
+(** The nodes whose name is in family [f], in {!nodes} order — read
+    from an index maintained by {!add_node}/{!remove_node}, so the
+    cost is the family's size, not the graph's. *)
+
 (** {1 Edges} *)
 
 val add_edge : t -> Oid.t -> string -> target -> unit

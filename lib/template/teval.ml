@@ -87,8 +87,7 @@ let apply_order ctx (d : Tast.directives) targets =
   match d.order with
   | None -> targets
   | Some ord ->
-    let cmp a b =
-      let ka = sort_key ctx d a and kb = sort_key ctx d b in
+    let cmp (ka, _) (kb, _) =
       let c =
         match ka, kb with
         | Some va, Some vb -> (
@@ -104,7 +103,12 @@ let apply_order ctx (d : Tast.directives) targets =
       in
       match ord with Tast.Ascend -> c | Tast.Descend -> -c
     in
-    List.stable_sort cmp targets
+    (* one key read per target, not one per comparison: a traced
+       render records each read, and a list page's trace would
+       otherwise grow as n log n *)
+    List.map (fun t -> (sort_key ctx d t, t)) targets
+    |> List.stable_sort cmp
+    |> List.map snd
 
 (* --- Value rendering --- *)
 

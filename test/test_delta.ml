@@ -97,6 +97,8 @@ type op =
   | Move_group of int * int
   | Drop_member of int
   | Empty_collection
+  | Unlink of int
+  | Relink of int
 
 let op_gen =
   let open QCheck.Gen in
@@ -111,6 +113,8 @@ let op_gen =
       (2, map2 (fun i j -> Move_group (i, j)) (int_bound 99) (int_bound 3));
       (2, map (fun i -> Drop_member i) (int_bound 99));
       (1, return Empty_collection);
+      (2, map (fun i -> Unlink i) (int_bound 99));
+      (2, map (fun i -> Relink i) (int_bound 99));
     ]
 
 let nth_member g i =
@@ -152,6 +156,14 @@ let apply_op r nextid op =
     List.iter
       (fun o -> Delta.Rec.remove_from_collection r "Items" o)
       (Graph.collection g "Items")
+  | Unlink i -> (
+    match nth_member g i with
+    | Some o -> Delta.Rec.set_value r o "shown" (Value.String "no")
+    | None -> ())
+  | Relink i -> (
+    match nth_member g i with
+    | Some o -> Delta.Rec.set_value r o "shown" (Value.String "yes")
+    | None -> ())
 
 (* One watch session over [items] items, the edit script applied
    through the recorder, one delta cycle — published pages must equal a
@@ -169,6 +181,124 @@ let delta_equals_cold ~jobs ops =
 
 let ops_arb = QCheck.make QCheck.Gen.(list_size (int_range 1 10) op_gen)
 
+(* --- the same site, but a group page links only its items shown
+   "yes": Unlink/Relink take an item page out of the site and bring it
+   back while its node stays in the site graph --- *)
+
+let linked_query =
+  {|INPUT DATA
+{ CREATE Root()
+  COLLECT Roots(Root()) }
+{ WHERE Items(i), i -> "grp" -> g
+  CREATE GroupPage(g), ItemPage(i)
+  LINK GroupPage(g) -> "Name" -> g,
+       ItemPage(i) -> "Group" -> GroupPage(g),
+       Root() -> "Group" -> GroupPage(g)
+  COLLECT GroupPages(GroupPage(g)), ItemPages(ItemPage(i))
+  { WHERE i -> l -> v
+    LINK ItemPage(i) -> l -> v }
+}
+{ WHERE Items(i), i -> "grp" -> g, i -> "shown" -> "yes"
+  LINK GroupPage(g) -> "Item" -> ItemPage(i) }
+OUTPUT SITE
+|}
+
+let linked_definition ~root_family =
+  Strudel.Site.define ~name:"LINKEDSITE" ~root_family ~templates
+    [ ("site", linked_query) ]
+
+let mk_linked_data n =
+  let g = mk_data n in
+  List.iter
+    (fun o -> Graph.add_edge g o "shown" (Graph.V (Value.String "yes")))
+    (Graph.collection g "Items");
+  g
+
+(* an in-memory directory sink: url -> bytes of the last emission *)
+let memdir_sink dir =
+  { Strudel.Render_pool.sk_emit =
+      (fun p ->
+        Hashtbl.replace dir p.Template.Generator.url p.Template.Generator.html);
+    sk_reset = (fun () -> Hashtbl.reset dir) }
+
+let pages_in_order (site : Template.Generator.site) =
+  List.map
+    (fun (p : Template.Generator.page) ->
+      ( p.Template.Generator.url,
+        Oid.name p.Template.Generator.obj,
+        p.Template.Generator.html ))
+    site.Template.Generator.pages
+
+(* Two watch sessions over identical data and the same script, one
+   cycle per op: one publishing to a memdir sink, one without.  After
+   every cycle, every page of a cold build must be in the memdir with
+   its bytes (extra files are pages that left the site), the sink got
+   no more pages than were rendered, and the sink-less site lists the
+   cold build's pages in its order.  With the group pages as the root
+   family, edits add and remove roots and may empty the family (then
+   the cycle and the cold build both raise, and the next cycle must
+   still be right); the maintained graph lists re-added roots last, so
+   pages are compared as a set. *)
+let delta_walk_equals_cold ~jobs ~root_family ops =
+  let linked_definition = linked_definition ~root_family in
+  let g_sink = mk_linked_data 30 and g_list = mk_linked_data 30 in
+  let dir = Hashtbl.create 64 in
+  let w_sink =
+    Serve.Watch.create ~jobs ~sink:(memdir_sink dir)
+      ~source:(Serve.Watch.Direct g_sink) linked_definition
+  in
+  let w_list =
+    Serve.Watch.create ~jobs ~source:(Serve.Watch.Direct g_list)
+      linked_definition
+  in
+  let r_sink = Option.get (Serve.Watch.recorder w_sink) in
+  let r_list = Option.get (Serve.Watch.recorder w_list) in
+  let next_sink = ref 0 and next_list = ref 0 in
+  (* a cycle after one that raised starts cold and re-emits every page *)
+  let recovering = ref false in
+  let build () =
+    try Some (Strudel.Site.build ~data:g_sink linked_definition).site
+    with Strudel.Site.Build_error _ -> None
+  in
+  let cycle w =
+    try Some (Serve.Watch.cycle w) with Strudel.Site.Build_error _ -> None
+  in
+  List.for_all
+    (fun op ->
+      apply_op r_sink next_sink op;
+      apply_op r_list next_list op;
+      match (build (), cycle w_sink, cycle w_list) with
+      | None, None, None ->
+        recovering := true;
+        true
+      | None, Some rep, Some _ when not rep.Serve.Watch.cy_changed ->
+        (* a no-op edit while the family is still empty *)
+        true
+      | Some cold, Some rep, Some _ ->
+        let published =
+          List.for_all
+            (fun (p : Template.Generator.page) ->
+              Hashtbl.find_opt dir p.Template.Generator.url
+              = Some p.Template.Generator.html)
+            cold.Template.Generator.pages
+        in
+        let listed = (Serve.Watch.built w_list).Strudel.Site.site in
+        let ok =
+          published
+          && (!recovering
+              || rep.Serve.Watch.cy_emitted <= rep.Serve.Watch.cy_rerendered)
+          &&
+          if root_family = "Root" then
+            pages_in_order listed = pages_in_order cold
+          else
+            List.sort compare (pages_in_order listed)
+            = List.sort compare (pages_in_order cold)
+        in
+        recovering := false;
+        ok
+      | _ -> false)
+    ops
+
 (* --- units --- *)
 
 let parse = Struql.Parser.parse
@@ -182,6 +312,266 @@ let has_fallback classes =
   List.exists
     (fun (_, c) -> String.length c >= 8 && String.sub c 0 8 = "fallback")
     classes
+
+(* Page P(x) shows the anchor text of Q(y).  Unlink P(x) from the
+   root (P and Q leave the site), retitle y while they are out, relink:
+   both pages must come back with the new title, as a cold build has
+   them — not with entries recorded before the retitle.  The relink
+   edits only the menu node, so the cycle that brings the pages back
+   reports neither of them changed. *)
+let stale_query =
+  {|INPUT DATA
+{ CREATE Root() COLLECT Roots(Root()) }
+{ WHERE Ps(x), x -> "ref" -> y, y -> "title" -> t
+  CREATE P(x), Q(y)
+  LINK P(x) -> "Ref" -> Q(y), Q(y) -> "title" -> t
+  COLLECT PPages(P(x)), QPages(Q(y)) }
+{ WHERE Menus(m), m -> "show" -> x, m -> "on" -> "yes"
+  LINK Root() -> "P" -> P(x) }
+OUTPUT SITE
+|}
+
+let stale_definition =
+  Strudel.Site.define ~name:"STALESITE" ~root_family:"Root"
+    ~templates:
+      {
+        Template.Generator.by_object = [];
+        by_collection =
+          [
+            ("Roots", "<SFMTLIST @P>\n");
+            ("PPages", "<p><SFMT @Ref></p>\n");
+            ("QPages", "<h1><SFMT @title></h1>\n");
+          ];
+        named = [];
+      }
+    [ ("site", stale_query) ]
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
+let stale_page_relinked () =
+  let g = Graph.create ~name:"DATA" () in
+  let x = Oid.fresh "x" and y = Oid.fresh "y" and m = Oid.fresh "m" in
+  List.iter (Graph.add_node g) [ x; y; m ];
+  Graph.add_edge g x "ref" (Graph.N y);
+  Graph.add_edge g y "title" (Graph.V (Value.String "YOld"));
+  Graph.add_edge g m "show" (Graph.N x);
+  Graph.add_edge g m "on" (Graph.V (Value.String "yes"));
+  Graph.add_to_collection g "Ps" x;
+  Graph.add_to_collection g "Menus" m;
+  let w = Serve.Watch.create ~source:(Serve.Watch.Direct g) stale_definition in
+  let r = Option.get (Serve.Watch.recorder w) in
+  let page name =
+    List.find_opt
+      (fun (p : Template.Generator.page) ->
+        Oid.name p.Template.Generator.obj = name)
+      (Serve.Watch.built w).Strudel.Site.site.Template.Generator.pages
+  in
+  check_bool "P(x) published" true (page "P(x)" <> None);
+  Delta.Rec.set_value r m "on" (Value.String "no");
+  let unlinked = Serve.Watch.cycle w in
+  check_bool "P(x) left the site" true (page "P(x)" = None);
+  check_int "P(x) and Q(y) dropped" 2 unlinked.Serve.Watch.cy_dropped;
+  Delta.Rec.set_value r y "title" (Value.String "YNew");
+  ignore (Serve.Watch.cycle w);
+  Delta.Rec.set_value r m "on" (Value.String "yes");
+  ignore (Serve.Watch.cycle w);
+  let cold = Strudel.Site.build ~data:g stale_definition in
+  check_bool "P(x) shows the new title" true
+    (match page "P(x)" with
+     | Some p -> contains p.Template.Generator.html "YNew"
+     | None -> false);
+  check_bool "pages equal a cold build's, in order" true
+    (pages_in_order (Serve.Watch.built w).Strudel.Site.site
+     = pages_in_order cold.Strudel.Site.site)
+
+(* A cycle whose publish raises (here the root family empties) has
+   still moved the maintained graph on; the next cycle must not trust
+   the publication it left behind.  P(x) is retitled in the failing
+   cycle and nowhere else. *)
+let switch_query =
+  {|INPUT DATA
+{ WHERE Switch(s), s -> "on" -> "yes"
+  CREATE Home() COLLECT Homes(Home()) }
+{ WHERE Ps(x), x -> "title" -> t
+  CREATE P(x) LINK P(x) -> "title" -> t COLLECT PPages(P(x)) }
+{ WHERE Switch(s), s -> "on" -> "yes", Ps(x)
+  LINK Home() -> "P" -> P(x) }
+OUTPUT SITE
+|}
+
+let failed_publish_leaves_next_cold () =
+  let def =
+    Strudel.Site.define ~name:"SWITCHSITE" ~root_family:"Home"
+      ~templates:
+        {
+          Template.Generator.by_object = [];
+          by_collection =
+            [
+              ("Homes", "<SFMTLIST @P>\n");
+              ("PPages", "<h1><SFMT @title></h1>\n");
+            ];
+          named = [];
+        }
+      [ ("site", switch_query) ]
+  in
+  let g = Graph.create ~name:"DATA" () in
+  let s = Oid.fresh "s" and x = Oid.fresh "x" in
+  Graph.add_node g s;
+  Graph.add_node g x;
+  Graph.add_edge g s "on" (Graph.V (Value.String "yes"));
+  Graph.add_edge g x "title" (Graph.V (Value.String "Old"));
+  Graph.add_to_collection g "Switch" s;
+  Graph.add_to_collection g "Ps" x;
+  let w = Serve.Watch.create ~source:(Serve.Watch.Direct g) def in
+  let r = Option.get (Serve.Watch.recorder w) in
+  Delta.Rec.set_value r s "on" (Value.String "no");
+  Delta.Rec.set_value r x "title" (Value.String "New");
+  (match Serve.Watch.cycle w with
+   | _ -> Alcotest.fail "an empty root family must raise"
+   | exception Strudel.Site.Build_error _ -> ());
+  Delta.Rec.set_value r s "on" (Value.String "yes");
+  ignore (Serve.Watch.cycle w);
+  let cold = Strudel.Site.build ~data:g def in
+  check_bool "pages equal a cold build's, in order" true
+    (pages_in_order (Serve.Watch.built w).Strudel.Site.site
+     = pages_in_order cold.Strudel.Site.site)
+
+(* a targeted render fault degrades one group page to a placeholder;
+   each delta cycle retries it (unrelated edits in between), matching a
+   cold degraded build while the fault holds and a clean one after *)
+let placeholders_retried () =
+  let g = mk_data 12 in
+  let inject =
+    Fault.Inject.create ~p_render:1.0 ~targets:[ "GroupPage(G1)" ] ()
+  in
+  let w =
+    Serve.Watch.create ~on_error:Fault.Degrade ~fault:(Fault.ctx ~inject ())
+      ~source:(Serve.Watch.Direct g) definition
+  in
+  let r = Option.get (Serve.Watch.recorder w) in
+  let cold () =
+    Strudel.Site.build ~on_error:Fault.Degrade ~fault:(Fault.ctx ~inject ())
+      ~data:g definition
+  in
+  let same label =
+    let c = cold () in
+    let b = Serve.Watch.built w in
+    check_bool (label ^ ": pages equal a cold build's, in order") true
+      (pages_in_order b.Strudel.Site.site = pages_in_order c.Strudel.Site.site);
+    check_int (label ^ ": degraded count")
+      c.Strudel.Site.render_profile.Strudel.Render_pool.rp_degraded
+      b.Strudel.Site.render_profile.Strudel.Render_pool.rp_degraded
+  in
+  same "cold";
+  check_int "one placeholder" 1
+    (Serve.Watch.built w).Strudel.Site.render_profile.Strudel.Render_pool
+      .rp_degraded;
+  (* an edit to a group-0 item: the G1 placeholder is retried anyway *)
+  Delta.Rec.set_value r (Option.get (nth_member g 2)) "title"
+    (Value.String "Edited");
+  let rep = Serve.Watch.cycle w in
+  check_bool "placeholder retried" true (rep.Serve.Watch.cy_rerendered >= 2);
+  same "fault holds";
+  Fault.Inject.disarm inject;
+  Delta.Rec.set_value r (Option.get (nth_member g 5)) "title"
+    (Value.String "Edited again");
+  ignore (Serve.Watch.cycle w);
+  same "fault cleared";
+  check_int "no placeholder left" 0
+    (Serve.Watch.built w).Strudel.Site.render_profile.Strudel.Render_pool
+      .rp_degraded
+
+(* seeded render faults at random pages: after every cycle the
+   watched site equals a cold degraded build under the same injector —
+   placeholders included, in order, with the same degraded count *)
+let degraded_delta_equals_cold (ops, seed) =
+  let g = mk_data 30 in
+  let inject = Fault.Inject.create ~seed ~p_render:0.2 () in
+  let w =
+    Serve.Watch.create ~on_error:Fault.Degrade ~fault:(Fault.ctx ~inject ())
+      ~source:(Serve.Watch.Direct g) definition
+  in
+  let r = Option.get (Serve.Watch.recorder w) in
+  let nextid = ref 0 in
+  List.for_all
+    (fun op ->
+      apply_op r nextid op;
+      ignore (Serve.Watch.cycle w);
+      let c =
+        Strudel.Site.build ~on_error:Fault.Degrade
+          ~fault:(Fault.ctx ~inject ()) ~data:g definition
+      in
+      let b = Serve.Watch.built w in
+      pages_in_order b.Strudel.Site.site = pages_in_order c.Strudel.Site.site
+      && b.Strudel.Site.render_profile.Strudel.Render_pool.rp_degraded
+         = c.Strudel.Site.render_profile.Strudel.Render_pool.rp_degraded)
+    ops
+
+(* items "a_b" and "a.b" share a slug; the second arrives in a delta *)
+let delta_collision_falls_back () =
+  let g = mk_data 6 in
+  let w = Serve.Watch.create ~source:(Serve.Watch.Direct g) definition in
+  let r = Option.get (Serve.Watch.recorder w) in
+  let add name =
+    let o = Oid.fresh name in
+    Delta.Rec.add_node r o;
+    Delta.Rec.add_edge r o "title" (Graph.V (Value.String name));
+    Delta.Rec.add_edge r o "grp" (Graph.V (Value.String "G0"));
+    Delta.Rec.add_to_collection r "Items" o
+  in
+  add "a_b";
+  ignore (Serve.Watch.cycle w);
+  check_bool "no fallback yet" false
+    (Serve.Watch.built w).Strudel.Site.render_profile.Strudel.Render_pool
+      .rp_fallback;
+  add "a.b";
+  ignore (Serve.Watch.cycle w);
+  let b = Serve.Watch.built w in
+  check_bool "fallback" true
+    b.Strudel.Site.render_profile.Strudel.Render_pool.rp_fallback;
+  let cold = Strudel.Site.build ~data:g definition in
+  check_bool "pages equal a cold build's, in order" true
+    (pages_in_order b.Strudel.Site.site
+     = pages_in_order cold.Strudel.Site.site);
+  (* the next cycle starts cold again and stays correct *)
+  Delta.Rec.set_value r (Option.get (nth_member g 1)) "title"
+    (Value.String "After");
+  ignore (Serve.Watch.cycle w);
+  let cold = Strudel.Site.build ~data:g definition in
+  check_bool "next cycle equals a cold build" true
+    (pages_in_order (Serve.Watch.built w).Strudel.Site.site
+     = pages_in_order cold.Strudel.Site.site)
+
+(* the root lookup reads the graph's family index; it must list what a
+   scan of every node lists, in the same order, while a Dexec script
+   adds and removes family members *)
+let roots_match_family_members ops =
+  let g = mk_data 20 in
+  let dx = Struql.Dexec.create ~queries:[ parse site_query ] g in
+  Struql.Dexec.prime dx;
+  let r = Delta.Rec.create g in
+  let nextid = ref 0 in
+  let agree () =
+    let sg = Struql.Dexec.site_graph dx in
+    List.for_all
+      (fun fam ->
+        List.equal Oid.equal
+          (Strudel.Site.roots_of sg fam)
+          (Schema.Verify.family_members sg fam))
+      [ "Root"; "GroupPage"; "ItemPage"; "Missing" ]
+  in
+  agree ()
+  && List.for_all
+       (fun op ->
+         apply_op r nextid op;
+         ignore (Struql.Dexec.apply dx (Delta.Rec.flush r));
+         agree ())
+       ops
 
 let suite =
   [
@@ -215,6 +605,8 @@ let suite =
           (rep.Serve.Watch.cy_rerendered * 4
            < rep.Serve.Watch.cy_rerendered + rep.Serve.Watch.cy_reused);
         check_bool "most pages reused" true (rep.Serve.Watch.cy_reused > 50);
+        check_bool "at most 2 pages emitted" true
+          (rep.Serve.Watch.cy_emitted <= 2);
         let cold = Strudel.Site.build ~data:g definition in
         check_bool "byte-identical" true
           (page_map (Serve.Watch.built w).Strudel.Site.site
@@ -485,4 +877,59 @@ OUTPUT SITE|} );
         check_int "nothing touched" 0 rep.Serve.Watch.cy_touched;
         check_int "no rerenders" 0 rep.Serve.Watch.cy_rerendered;
         check_int "every page reused" total rep.Serve.Watch.cy_reused);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:
+           "delta walk: emitted pages cover a cold build, emitted <= \
+            rerendered, sink-less site in cold order (jobs=1)"
+         ~count:20 ops_arb
+         (delta_walk_equals_cold ~jobs:1 ~root_family:"Root"));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:
+           "delta walk: emitted pages cover a cold build, emitted <= \
+            rerendered, sink-less site in cold order (jobs=4)"
+         ~count:8 ops_arb
+         (delta_walk_equals_cold ~jobs:4 ~root_family:"Root"));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:
+           "delta walk with group pages as roots: roots come and go, \
+            output still equals a cold build"
+         ~count:15 ops_arb
+         (delta_walk_equals_cold ~jobs:1 ~root_family:"GroupPage"));
+    t "a page unlinked, its anchor retitled, then relinked is re-rendered"
+      stale_page_relinked;
+    t "removed item: its pages leave the site and are counted" (fun () ->
+        let g = mk_data 12 in
+        let w = Serve.Watch.create ~source:(Serve.Watch.Direct g) definition in
+        let r = Option.get (Serve.Watch.recorder w) in
+        Delta.Rec.remove_node r (Option.get (nth_member g 4));
+        let rep = Serve.Watch.cycle w in
+        check_int "one page dropped" 1 rep.Serve.Watch.cy_dropped;
+        let cold = Strudel.Site.build ~data:g definition in
+        check_bool "pages equal a cold build's, in order" true
+          (pages_in_order (Serve.Watch.built w).Strudel.Site.site
+           = pages_in_order cold.Strudel.Site.site);
+        check_int "the live set shrank with it"
+          cold.Strudel.Site.render_profile.Strudel.Render_pool.rp_pages
+          (Strudel.Render_cache.live_count (Serve.Watch.cache w)));
+    t "a cycle whose publish raised leaves the next one cold"
+      failed_publish_leaves_next_cold;
+    t "render faults: placeholders are retried every cycle"
+      placeholders_retried;
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:
+           "delta walk under seeded render faults (Degrade) equals a cold \
+            degraded build"
+         ~count:15
+         QCheck.(pair ops_arb small_nat)
+         degraded_delta_equals_cold);
+    t "a URL collision introduced by a delta falls back to the sequential \
+       generator" delta_collision_falls_back;
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"Site.roots_of equals Verify.family_members under Dexec scripts"
+         ~count:30 ops_arb roots_match_family_members);
   ]

@@ -167,6 +167,31 @@ let profile_accounts_pages () =
     prof.Strudel.Render_pool.rp_rendered;
   check_bool "at least one wave" true (prof.Strudel.Render_pool.rp_waves >= 1)
 
+(* the file sink replaces a page atomically (temp file + rename in the
+   same directory), remembers each path once, and its reset removes
+   what it wrote *)
+let file_sink_rewrites_atomically () =
+  let dir = Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "strudel-sink-%d" (Unix.getpid ())) in
+  let sink = Strudel.Render_pool.file_sink ~dir in
+  let o = Oid.fresh "P(1)" in
+  let page html =
+    { Template.Generator.obj = o; url = "P1.html"; title = "P"; html;
+      body = html }
+  in
+  List.iter
+    (fun v -> sink.Strudel.Render_pool.sk_emit (page v))
+    [ "one"; "two"; "three" ];
+  let path = Filename.concat dir "P1.html" in
+  check_bool "content is the last emission" true
+    (In_channel.with_open_bin path In_channel.input_all = "three");
+  check_bool "only the page is in the directory" true
+    (Sys.readdir dir = [| "P1.html" |]);
+  sink.Strudel.Render_pool.sk_reset ();
+  check_bool "reset removes the page" false (Sys.file_exists path);
+  check_int "directory empty after reset" 0 (Array.length (Sys.readdir dir));
+  Sys.rmdir dir
+
 let suite =
   example_site_tests
   @ [
@@ -195,4 +220,6 @@ let suite =
       t "slug collision falls back to the sequential generator"
         collision_fallback;
       t "render profile accounts for every page" profile_accounts_pages;
+      t "file sink: last emission wins, no temp file, reset removes"
+        file_sink_rewrites_atomically;
     ]
