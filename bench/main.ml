@@ -370,6 +370,11 @@ let e9 () =
 (* E10 — §2.2 full indexing ablation                                  *)
 (* ----------------------------------------------------------------- *)
 
+(* The indexes of an indexed graph are built on the first read that
+   needs them, so the first indexed query pays that one-time build and
+   is reported on its own row; the steady-state rows are what the
+   ablation compares.  Writes BENCH_index.json for the CI gate
+   (steady-state indexed must beat scan-only). *)
 let e10 () =
   section "E10" "§2.2 — repository indexes: indexed vs full-scan";
   let build indexed =
@@ -381,20 +386,40 @@ let e10 () =
     {|WHERE Publications(x), x -> "year" -> 1997, x -> "category" -> c
       COLLECT Hits(x) OUTPUT o|}
   in
-  Fmt.pr "%-12s %14s@." "mode" "time (ms)";
-  List.iter
-    (fun indexed ->
-      let g = build indexed in
-      let _, t =
-        time_it (fun () ->
-            for _ = 1 to 20 do
-              ignore (Struql.Eval.run_string g query)
-            done)
-      in
-      Fmt.pr "%-12s %14.2f@."
-        (if indexed then "indexed" else "scan-only")
-        (ms t /. 20.))
-    [ true; false ]
+  let runs = 20 in
+  let per_query g =
+    let _, t =
+      time_it (fun () ->
+          for _ = 1 to runs do
+            ignore (Struql.Eval.run_string g query)
+          done)
+    in
+    ms t /. float_of_int runs
+  in
+  (* the first query on either graph also pays one-time work common
+     to both modes; the difference of the two first rows is the index
+     build *)
+  let first g =
+    let _, t = time_it (fun () -> Struql.Eval.run_string g query) in
+    ms t
+  in
+  let gi = build true and gu = build false in
+  let first_i = first gi and first_u = first gu in
+  let steady = per_query gi and scan = per_query gu in
+  Fmt.pr "%-20s %14s@." "mode" "time (ms)";
+  Fmt.pr "%-20s %14.2f@." "indexed (first)" first_i;
+  Fmt.pr "%-20s %14.2f@." "scan-only (first)" first_u;
+  Fmt.pr "%-20s %14.2f@." "indexed (steady)" steady;
+  Fmt.pr "%-20s %14.2f@." "scan-only (steady)" scan;
+  Fmt.pr "the first indexed query builds the label/value/in-edge indexes@.";
+  let oc = open_out "BENCH_index.json" in
+  Printf.fprintf oc
+    "{\n  \"entries\": 400,\n  \"runs\": %d,\n  \"first_indexed_ms\": %.3f,\n  \
+     \"first_scan_only_ms\": %.3f,\n  \"steady_indexed_ms\": %.3f,\n  \
+     \"scan_only_ms\": %.3f\n}\n"
+    runs first_i first_u steady scan;
+  close_out oc;
+  Fmt.pr "index ablation written to BENCH_index.json@."
 
 (* ----------------------------------------------------------------- *)
 (* E11 — materialization strategies                                   *)

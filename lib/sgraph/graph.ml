@@ -24,13 +24,28 @@ type tkey = Knode of int | Kval of Value.t
 
 let tkey = function N o -> Knode (Oid.id o) | V v -> Kval v
 
-type coll = { mutable set : Oid.Set.t; mutable order_rev : Oid.t list }
+type coll = {
+  mutable set : Oid.Set.t;
+  mutable order_rev : Oid.t list;
+  mutable size : int;
+}
+
+(* The secondary indexes of an indexed graph.  Derived state: built in
+   one pass on the first read that needs them, then maintained by
+   every mutation.  Buckets are ordered bags so [remove_edge] is O(1)
+   per bucket instead of a re-filter. *)
+type indexes = {
+  label_idx : (string, (int * tkey, Oid.t * target) Obag.t) Hashtbl.t;
+  value_idx : (Value.t, (int * string, Oid.t * string) Obag.t) Hashtbl.t;
+  in_idx : (int * string, Oid.t * string) Obag.t Oid.Tbl.t;
+}
 
 type t = {
   gname : string;
   use_index : bool;
   mutable nodes : Oid.Set.t;
   mutable node_order_rev : Oid.t list;
+  mutable n_nodes : int;
   out_tbl : (string * target) list ref Oid.Tbl.t;  (* reversed order *)
   edge_set : (int * string * tkey, int) Hashtbl.t;  (* edge -> stamp *)
   mutable edge_clock : int;
@@ -40,26 +55,27 @@ type t = {
   (* Skolem family -> member nodes in insertion order: the order
      [nodes] lists them in, without its O(graph) walk *)
   families : (string, (int, Oid.t) Obag.t) Hashtbl.t;
-  (* indexes, maintained only when [use_index]; buckets are ordered bags
-     so [remove_edge] is O(1) per bucket instead of a re-filter *)
-  label_idx : (string, (int * tkey, Oid.t * target) Obag.t) Hashtbl.t;
-  value_idx : (Value.t, (int * string, Oid.t * string) Obag.t) Hashtbl.t;
-  in_idx : (int * string, Oid.t * string) Obag.t Oid.Tbl.t;
+  (* [None] until the first index read of an indexed graph; an atomic
+     so the double-checked build publishes the finished tables *)
+  idx : indexes option Atomic.t;
   mutable label_order_rev : string list;  (* labels in first-seen order *)
-  label_seen : (string, unit) Hashtbl.t;
+  label_seen : (string, int ref) Hashtbl.t;  (* label -> live edges *)
   mutable n_edges : int;
   (* kernel snapshot: bumped by every mutation the CSR reflects *)
   mutable generation : int;
   mutable frozen : Csr.t option;
   kstats : Csr.kstats;
+  (* guards the lazy builds: the CSR snapshot and the indexes *)
   freeze_lock : Mutex.t;
   (* sanitizer identities: field 0 = the mutable structure (proxied by
-     the generation bump every mutation performs), field 1 = [frozen];
-     [dsan_frozen] is the publication point of the double-checked
-     freeze (the unlocked fast-path read is an intended racy read,
-     ordered by publish/consume, not by the freeze lock) *)
+     the generation bump every mutation performs), field 1 = [frozen],
+     field 2 = the index tables; [dsan_frozen] and [dsan_idx] are the
+     publication points of the double-checked freeze and index build
+     (the unlocked fast-path reads are intended racy reads, ordered by
+     publish/consume, not by the lock) *)
   dsan_obj : int;
   dsan_frozen : int;
+  dsan_idx : int;
   dsan_freeze_lock : int;
 }
 
@@ -69,6 +85,7 @@ let create ?(indexed = true) ?(name = "g") () =
     use_index = indexed;
     nodes = Oid.Set.empty;
     node_order_rev = [];
+    n_nodes = 0;
     out_tbl = Oid.Tbl.create 64;
     edge_set = Hashtbl.create 128;
     edge_clock = 0;
@@ -76,9 +93,7 @@ let create ?(indexed = true) ?(name = "g") () =
     coll_order_rev = [];
     names = Hashtbl.create 64;
     families = Hashtbl.create 8;
-    label_idx = Hashtbl.create 32;
-    value_idx = Hashtbl.create 128;
-    in_idx = Oid.Tbl.create 64;
+    idx = Atomic.make None;
     label_order_rev = [];
     label_seen = Hashtbl.create 32;
     n_edges = 0;
@@ -88,6 +103,7 @@ let create ?(indexed = true) ?(name = "g") () =
     freeze_lock = Mutex.create ();
     dsan_obj = Dsan.alloc ~name:("Graph(" ^ name ^ ")");
     dsan_frozen = Dsan.atomic_id ~name:("Graph(" ^ name ^ ").frozen");
+    dsan_idx = Dsan.atomic_id ~name:("Graph(" ^ name ^ ").idx");
     dsan_freeze_lock = Dsan.lock_id ~name:("Graph(" ^ name ^ ").freeze_lock");
   }
 
@@ -111,6 +127,7 @@ let add_node g o =
     touch g;
     g.nodes <- Oid.Set.add o g.nodes;
     g.node_order_rev <- o :: g.node_order_rev;
+    g.n_nodes <- g.n_nodes + 1;
     if not (Hashtbl.mem g.names (Oid.name o)) then
       Hashtbl.add g.names (Oid.name o) o;
     match family_of_name (Oid.name o) with
@@ -135,7 +152,7 @@ let new_node g hint =
 let mem_node g o = Oid.Set.mem o g.nodes
 let nodes g = List.rev g.node_order_rev
 let node_set g = g.nodes
-let node_count g = Oid.Set.cardinal g.nodes
+let node_count g = g.n_nodes
 let find_node g n = Hashtbl.find_opt g.names n
 
 let family_members g f =
@@ -144,10 +161,11 @@ let family_members g f =
   | None -> []
 
 let note_label g l =
-  if not (Hashtbl.mem g.label_seen l) then begin
-    Hashtbl.add g.label_seen l ();
+  match Hashtbl.find_opt g.label_seen l with
+  | Some c -> incr c
+  | None ->
+    Hashtbl.add g.label_seen l (ref 1);
     g.label_order_rev <- l :: g.label_order_rev
-  end
 
 let bag_push tbl key k v =
   match Hashtbl.find_opt tbl key with
@@ -162,32 +180,45 @@ let bag_remove tbl key k =
   | Some b -> Obag.remove b k
   | None -> ()
 
+let index_add ix src l tgt =
+  bag_push ix.label_idx l (Oid.id src, tkey tgt) (src, tgt);
+  match tgt with
+  | V v -> bag_push ix.value_idx v (Oid.id src, l) (src, l)
+  | N o ->
+    (match Oid.Tbl.find_opt ix.in_idx o with
+     | Some b -> Obag.add b (Oid.id src, l) (src, l)
+     | None ->
+       let b = Obag.create () in
+       Obag.add b (Oid.id src, l) (src, l);
+       Oid.Tbl.add ix.in_idx o b)
+
+let index_remove ix src l tgt =
+  bag_remove ix.label_idx l (Oid.id src, tkey tgt);
+  match tgt with
+  | V v -> bag_remove ix.value_idx v (Oid.id src, l)
+  | N o ->
+    (match Oid.Tbl.find_opt ix.in_idx o with
+     | Some b -> Obag.remove b (Oid.id src, l)
+     | None -> ())
+
 let has_edge g src l tgt = Hashtbl.mem g.edge_set (Oid.id src, l, tkey tgt)
 
 let add_edge g src l tgt =
-  if not (has_edge g src l tgt) then begin
+  let key = (Oid.id src, l, tkey tgt) in
+  if not (Hashtbl.mem g.edge_set key) then begin
     add_node g src;
     (match tgt with N o -> add_node g o | V _ -> ());
     touch g;
-    Hashtbl.replace g.edge_set (Oid.id src, l, tkey tgt) g.edge_clock;
+    Hashtbl.add g.edge_set key g.edge_clock;
     g.edge_clock <- g.edge_clock + 1;
     (match Oid.Tbl.find_opt g.out_tbl src with
      | Some r -> r := (l, tgt) :: !r
      | None -> Oid.Tbl.add g.out_tbl src (ref [ (l, tgt) ]));
     note_label g l;
     g.n_edges <- g.n_edges + 1;
-    if g.use_index then begin
-      bag_push g.label_idx l (Oid.id src, tkey tgt) (src, tgt);
-      match tgt with
-      | V v -> bag_push g.value_idx v (Oid.id src, l) (src, l)
-      | N o ->
-        (match Oid.Tbl.find_opt g.in_idx o with
-         | Some b -> Obag.add b (Oid.id src, l) (src, l)
-         | None ->
-           let b = Obag.create () in
-           Obag.add b (Oid.id src, l) (src, l);
-           Oid.Tbl.add g.in_idx o b)
-    end
+    match Atomic.get g.idx with
+    | Some ix -> index_add ix src l tgt
+    | None -> ()
   end
 
 let edge_stamp g src l tgt =
@@ -196,23 +227,21 @@ let edge_stamp g src l tgt =
 let remove_assoc_edge r pred = r := List.filter (fun e -> not (pred e)) !r
 
 let remove_edge g src l tgt =
-  if has_edge g src l tgt then begin
+  let key = (Oid.id src, l, tkey tgt) in
+  if Hashtbl.mem g.edge_set key then begin
     touch g;
-    Hashtbl.remove g.edge_set (Oid.id src, l, tkey tgt);
+    Hashtbl.remove g.edge_set key;
     (match Oid.Tbl.find_opt g.out_tbl src with
      | Some r ->
        remove_assoc_edge r (fun (l', t') -> l' = l && target_equal t' tgt)
      | None -> ());
+    (match Hashtbl.find_opt g.label_seen l with
+     | Some c -> decr c
+     | None -> ());
     g.n_edges <- g.n_edges - 1;
-    if g.use_index then begin
-      bag_remove g.label_idx l (Oid.id src, tkey tgt);
-      match tgt with
-      | V v -> bag_remove g.value_idx v (Oid.id src, l)
-      | N o ->
-        (match Oid.Tbl.find_opt g.in_idx o with
-         | Some b -> Obag.remove b (Oid.id src, l)
-         | None -> ())
-    end
+    match Atomic.get g.idx with
+    | Some ix -> index_remove ix src l tgt
+    | None -> ()
   end
 
 let edge_count g = g.n_edges
@@ -233,17 +262,77 @@ let fold_edges f g init =
       List.fold_left (fun acc (l, tgt) -> f src l tgt acc) acc (out_edges g src))
     init (nodes g)
 
+(* One pass over the edges, replayed in stamp order: every bucket then
+   lists its live edges chronologically by latest insertion, the order
+   [index_add] keeps for every mutation after the build. *)
+let build_indexes g =
+  let ix =
+    {
+      label_idx = Hashtbl.create 32;
+      value_idx = Hashtbl.create 128;
+      in_idx = Oid.Tbl.create 64;
+    }
+  in
+  let at_stamp = Array.make g.edge_clock None in
+  Oid.Tbl.iter
+    (fun src r ->
+      List.iter
+        (fun (l, tgt) ->
+          at_stamp.(Hashtbl.find g.edge_set (Oid.id src, l, tkey tgt)) <-
+            Some (src, l, tgt))
+        !r)
+    g.out_tbl;
+  Array.iter
+    (function Some (src, l, tgt) -> index_add ix src l tgt | None -> ())
+    at_stamp;
+  ix
+
+(* Double-checked like [freeze], but the published value is an atomic:
+   publish precedes the store and consume follows the load, so a reader
+   that sees [Some] is ordered after every write of the build.  The
+   build reads the structure (field 0) without bumping [generation],
+   so an existing CSR snapshot stays valid. *)
+let indexes g =
+  Dsan.read ~site:__POS__ g.dsan_obj 0;
+  let ix =
+    match Atomic.get g.idx with
+    | Some ix ->
+      Dsan.consume ~site:__POS__ g.dsan_idx;
+      ix
+    | None ->
+      Mutex.lock g.freeze_lock;
+      Dsan.acquire ~site:__POS__ g.dsan_freeze_lock;
+      Fun.protect
+        ~finally:(fun () ->
+          Dsan.release ~site:__POS__ g.dsan_freeze_lock;
+          Mutex.unlock g.freeze_lock)
+        (fun () ->
+          match Atomic.get g.idx with
+          | Some ix ->
+            Dsan.consume ~site:__POS__ g.dsan_idx;
+            ix
+          | None ->
+            let ix = build_indexes g in
+            Dsan.write ~site:__POS__ g.dsan_obj 2;
+            Dsan.publish ~site:__POS__ g.dsan_idx;
+            Atomic.set g.idx (Some ix);
+            ix)
+  in
+  Dsan.read ~site:__POS__ g.dsan_obj 2;
+  ix
+
+let bag_list tbl key =
+  match Hashtbl.find_opt tbl key with Some b -> Obag.to_list b | None -> []
+
 let in_edges g tgt =
   if g.use_index then
+    let ix = indexes g in
     match tgt with
     | N o ->
-      (match Oid.Tbl.find_opt g.in_idx o with
+      (match Oid.Tbl.find_opt ix.in_idx o with
        | Some b -> Obag.to_list b
        | None -> [])
-    | V v ->
-      (match Hashtbl.find_opt g.value_idx v with
-       | Some b -> Obag.to_list b
-       | None -> [])
+    | V v -> bag_list ix.value_idx v
   else
     fold_edges
       (fun src l t acc -> if target_equal t tgt then (src, l) :: acc else acc)
@@ -499,17 +588,20 @@ let add_to_collection g c o =
   | Some coll ->
     if not (Oid.Set.mem o coll.set) then begin
       coll.set <- Oid.Set.add o coll.set;
-      coll.order_rev <- o :: coll.order_rev
+      coll.order_rev <- o :: coll.order_rev;
+      coll.size <- coll.size + 1
     end
   | None ->
-    Hashtbl.add g.colls c { set = Oid.Set.singleton o; order_rev = [ o ] };
+    Hashtbl.add g.colls c
+      { set = Oid.Set.singleton o; order_rev = [ o ]; size = 1 };
     g.coll_order_rev <- c :: g.coll_order_rev
 
 let remove_from_collection g c o =
   match find_coll g c with
   | Some coll when Oid.Set.mem o coll.set ->
     coll.set <- Oid.Set.remove o coll.set;
-    coll.order_rev <- List.filter (fun x -> not (Oid.equal x o)) coll.order_rev
+    coll.order_rev <- List.filter (fun x -> not (Oid.equal x o)) coll.order_rev;
+    coll.size <- coll.size - 1
   | _ -> ()
 
 let in_collection g c o =
@@ -519,7 +611,7 @@ let collection g c =
   match find_coll g c with Some coll -> List.rev coll.order_rev | None -> []
 
 let collection_size g c =
-  match find_coll g c with Some coll -> Oid.Set.cardinal coll.set | None -> 0
+  match find_coll g c with Some coll -> coll.size | None -> 0
 
 let collections g = List.rev g.coll_order_rev
 
@@ -527,28 +619,22 @@ let collections_of g o =
   List.filter (fun c -> in_collection g c o) (collections g)
 
 let label_extent g l =
-  if g.use_index then
-    match Hashtbl.find_opt g.label_idx l with
-    | Some b -> Obag.to_list b
-    | None -> []
+  if g.use_index then bag_list (indexes g).label_idx l
   else
     fold_edges
       (fun src l' tgt acc -> if l' = l then (src, tgt) :: acc else acc)
       g []
     |> List.rev
 
+(* indexed: the per-label counter, so cost estimates never force an
+   index build; scan-only: a scan, like every other index lookup *)
 let label_count g l =
   if g.use_index then
-    match Hashtbl.find_opt g.label_idx l with
-    | Some b -> Obag.length b
-    | None -> 0
+    match Hashtbl.find_opt g.label_seen l with Some c -> !c | None -> 0
   else List.length (label_extent g l)
 
 let value_index g v =
-  if g.use_index then
-    match Hashtbl.find_opt g.value_idx v with
-    | Some b -> Obag.to_list b
-    | None -> []
+  if g.use_index then bag_list (indexes g).value_idx v
   else
     fold_edges
       (fun src l tgt acc ->
@@ -567,8 +653,11 @@ let remove_node g o =
     g.nodes <- Oid.Set.remove o g.nodes;
     g.node_order_rev <-
       List.filter (fun x -> not (Oid.equal x o)) g.node_order_rev;
+    g.n_nodes <- g.n_nodes - 1;
     Oid.Tbl.remove g.out_tbl o;
-    Oid.Tbl.remove g.in_idx o;
+    (match Atomic.get g.idx with
+     | Some ix -> Oid.Tbl.remove ix.in_idx o
+     | None -> ());
     (match family_of_name (Oid.name o) with
      | Some f -> (
        match Hashtbl.find_opt g.families f with

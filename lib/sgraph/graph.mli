@@ -7,12 +7,16 @@
     collections, and objects of one collection may have different
     attribute sets (the model is schema-less).
 
-    Graphs are mutable.  When [indexed] (the default), the graph
-    maintains the full set of indexes the paper describes for the data
+    Graphs are mutable.  When [indexed] (the default), the graph has
+    the full set of indexes the paper describes for the data
     repository: the extent of every attribute label, the extent of every
     collection, a value index global to the graph, and an incoming-edge
-    index.  With [~indexed:false] those lookups fall back to full scans
-    (used by the indexing ablation bench). *)
+    index.  The label, value and incoming-edge indexes are built in one
+    pass on the first read that needs them ({!label_extent},
+    {!value_index}, {!in_edges}, {!remove_node}) and maintained by every
+    mutation after that, so a graph that is only built and walked never
+    pays for them.  With [~indexed:false] those lookups fall back to
+    full scans (used by the indexing ablation bench). *)
 
 type target =
   | N of Oid.t      (** an internal object *)
@@ -38,6 +42,7 @@ val mem_node : t -> Oid.t -> bool
 val nodes : t -> Oid.t list
 val node_set : t -> Oid.Set.t
 val node_count : t -> int
+(** O(1): a counter kept by {!add_node}/{!remove_node}. *)
 
 val find_node : t -> string -> Oid.t option
 (** Look up a node by its oid name (first added wins). *)
@@ -65,13 +70,15 @@ val edge_stamp : t -> Oid.t -> string -> target -> int option
 (** The edge's insertion stamp, [None] when absent.  Stamps increase
     in insertion order, so replaying a graph's edges sorted by stamp
     rebuilds the label, value and in-edge indexes in their original
-    order, which node-major [out_edges] order alone does not. *)
+    order, which node-major [out_edges] order alone does not.  The lazy
+    index build replays the edges the same way. *)
 
 val out_edges : t -> Oid.t -> (string * target) list
 (** Outgoing edges in insertion order. *)
 
 val in_edges : t -> target -> (Oid.t * string) list
-(** Incoming edges of an object (or of an atomic value). *)
+(** Incoming edges of an object (or of an atomic value), in insertion
+    order (a re-added edge counts from its latest insertion). *)
 
 val attr : t -> Oid.t -> string -> target list
 (** All targets of edges labeled [label] leaving the node, in insertion
@@ -95,6 +102,8 @@ val collection : t -> string -> Oid.t list
 (** Members in insertion order; empty for an unknown collection. *)
 
 val collection_size : t -> string -> int
+(** O(1): a counter kept by collection adds and removes. *)
+
 val collections : t -> string list
 val collections_of : t -> Oid.t -> string list
 
@@ -104,12 +113,17 @@ val labels : t -> string list
 (** All attribute names appearing in the graph (the schema index). *)
 
 val label_extent : t -> string -> (Oid.t * target) list
-(** All edges carrying the label. *)
+(** All edges carrying the label, in insertion order. *)
 
 val label_count : t -> string -> int
+(** The number of edges carrying the label.  On an indexed graph this
+    reads a per-label counter and never builds the indexes, so the
+    planner's cost estimates stay cheap on a fresh graph. *)
+
 val value_index : t -> Value.t -> (Oid.t * string) list
 (** All (source, label) pairs of edges whose target is exactly this
-    atomic value.  Global to the graph, as in the paper. *)
+    atomic value, in insertion order.  Global to the graph, as in the
+    paper. *)
 
 (** {1 Kernel snapshot}
 

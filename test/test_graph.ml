@@ -175,46 +175,84 @@ let whole_graph =
         check_int "fold" 5 (Graph.fold_edges (fun _ _ _ acc -> acc + 1) g 0));
   ]
 
-(* qcheck: random mutation sequences keep indexes consistent with scans *)
+(* qcheck: random mutation sequences keep indexes consistent with scans.
+   [Read] forces the lazy index build at a random point of the script,
+   so later ops exercise maintenance of already-built indexes. *)
 type op =
   | Add_edge of int * string * int
   | Add_val of int * string * int
   | Remove of int
+  | Remove_node of int
   | Collect of string * int
+  | Uncollect of string * int
+  | Read
 
 let op_gen =
   let open QCheck.Gen in
-  oneof
+  frequency
     [
-      map3 (fun a l b -> Add_edge (a, l, b)) (int_bound 9)
-        (oneofl [ "x"; "y"; "z" ])
-        (int_bound 9);
-      map3 (fun a l v -> Add_val (a, l, v)) (int_bound 9)
-        (oneofl [ "x"; "y" ]) (int_bound 4);
-      map (fun i -> Remove i) (int_bound 30);
-      map2 (fun c i -> Collect (c, i)) (oneofl [ "C"; "D" ]) (int_bound 9);
+      ( 4,
+        map3 (fun a l b -> Add_edge (a, l, b)) (int_bound 9)
+          (oneofl [ "x"; "y"; "z" ])
+          (int_bound 9) );
+      ( 4,
+        map3 (fun a l v -> Add_val (a, l, v)) (int_bound 9)
+          (oneofl [ "x"; "y" ]) (int_bound 4) );
+      (4, map (fun i -> Remove i) (int_bound 30));
+      (1, map (fun i -> Remove_node i) (int_bound 9));
+      (3, map2 (fun c i -> Collect (c, i)) (oneofl [ "C"; "D" ]) (int_bound 9));
+      ( 1,
+        map2 (fun c i -> Uncollect (c, i)) (oneofl [ "C"; "D" ]) (int_bound 9)
+      );
+      (1, return Read);
     ]
 
-let apply_ops ~indexed ops =
+let labels = [ "x"; "y"; "z" ]
+let values = List.init 5 (fun i -> Value.Int i)
+
+(* Runs the script on a fresh graph alongside the model: the live edges
+   as a plain list, oldest insertion first.  [on_read] sees the graph
+   and the model at every [Read]. *)
+let run_script ?(on_read = fun _ _ _ -> ()) ~indexed ops =
   let g = Graph.create ~indexed ~name:"q" () in
   let nodes = Array.init 10 (fun i -> Oid.fresh (string_of_int i)) in
   Array.iter (Graph.add_node g) nodes;
   let edges = ref [] in
+  let model = ref [] in
+  let add s l tgt =
+    Graph.add_edge g s l tgt;
+    edges := (s, l, tgt) :: !edges;
+    if not (List.mem (s, l, tgt) !model) then model := !model @ [ (s, l, tgt) ]
+  in
   List.iter
     (fun op ->
       match op with
-      | Add_edge (a, l, b) ->
-        Graph.add_edge g nodes.(a) l (Graph.N nodes.(b));
-        edges := (nodes.(a), l, Graph.N nodes.(b)) :: !edges
-      | Add_val (a, l, v) ->
-        Graph.add_edge g nodes.(a) l (Graph.V (Value.Int v));
-        edges := (nodes.(a), l, Graph.V (Value.Int v)) :: !edges
+      | Add_edge (a, l, b) -> add nodes.(a) l (Graph.N nodes.(b))
+      | Add_val (a, l, v) -> add nodes.(a) l (Graph.V (Value.Int v))
       | Remove i ->
         (match List.nth_opt !edges i with
-         | Some (s, l, tgt) -> Graph.remove_edge g s l tgt
+         | Some (s, l, tgt) ->
+           Graph.remove_edge g s l tgt;
+           model := List.filter (fun e -> e <> (s, l, tgt)) !model
          | None -> ())
-      | Collect (c, i) -> Graph.add_to_collection g c nodes.(i))
+      | Remove_node i ->
+        let o = nodes.(i) in
+        Graph.remove_node g o;
+        model :=
+          List.filter
+            (fun (s, _, tgt) ->
+              not (Oid.equal s o || Graph.target_equal tgt (Graph.N o)))
+            !model
+      | Collect (c, i) -> Graph.add_to_collection g c nodes.(i)
+      | Uncollect (c, i) -> Graph.remove_from_collection g c nodes.(i)
+      | Read ->
+        ignore (Graph.label_extent g "x");
+        on_read g nodes !model)
     ops;
+  (g, nodes, !model)
+
+let apply_ops ~indexed ops =
+  let g, _, _ = run_script ~indexed ops in
   g
 
 (* Same op sequence on indexed and unindexed graphs must agree on every
@@ -242,12 +280,74 @@ let indexes_consistent ops =
              (List.map (fun (s, l) -> (Oid.name s, l)) (Graph.value_index gu v)))
        (List.init 5 (fun i -> Value.Int i))
 
+(* Every index read against the chronological model: exactly, order
+   included, when [exact] (an indexed graph), as sets otherwise. *)
+let agrees_with_model ~exact g nodes model =
+  let same a b = if exact then a = b else List.sort compare a = List.sort compare b in
+  List.for_all
+    (fun l ->
+      let ext =
+        List.filter_map
+          (fun (s, l', t) -> if l' = l then Some (s, t) else None)
+          model
+      in
+      same (Graph.label_extent g l) ext
+      && Graph.label_count g l = List.length ext)
+    labels
+  && List.for_all
+       (fun v ->
+         same (Graph.value_index g v)
+           (List.filter_map
+              (fun (s, l, t) ->
+                if Graph.target_equal t (Graph.V v) then Some (s, l) else None)
+              model))
+       values
+  && Array.for_all
+       (fun o ->
+         same
+           (Graph.in_edges g (Graph.N o))
+           (List.filter_map
+              (fun (s, l, t) ->
+                if Graph.target_equal t (Graph.N o) then Some (s, l) else None)
+              model))
+       nodes
+
+let model_agrees ~indexed ops =
+  let ok = ref true in
+  let on_read g nodes model =
+    ok := !ok && agrees_with_model ~exact:indexed g nodes model
+  in
+  let g, nodes, model = run_script ~on_read ~indexed ops in
+  !ok && agrees_with_model ~exact:indexed g nodes model
+
+let counts_agree ops =
+  List.for_all
+    (fun indexed ->
+      let g = apply_ops ~indexed ops in
+      Graph.node_count g = List.length (Graph.nodes g)
+      && List.for_all
+           (fun c ->
+             Graph.collection_size g c = List.length (Graph.collection g c))
+           [ "C"; "D"; "E" ])
+    [ true; false ]
+
+let script_arb = QCheck.make QCheck.Gen.(list_size (int_range 0 40) op_gen)
+
 let props =
   [
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"indexed/unindexed graphs agree" ~count:200
-         (QCheck.make QCheck.Gen.(list_size (int_range 0 40) op_gen))
-         indexes_consistent);
+         script_arb indexes_consistent);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"lazy indexes match the chronological model, order included"
+         ~count:300 script_arb (model_agrees ~indexed:true));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"scan-only lookups match the model as sets"
+         ~count:200 script_arb (model_agrees ~indexed:false));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"node_count and collection_size match the lists"
+         ~count:200 script_arb counts_agree);
   ]
 
 let suite = basics @ collections @ indexes @ whole_graph @ props
