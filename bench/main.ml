@@ -1966,10 +1966,12 @@ let bechamel_suite () =
       Test.make ~name:"E15_xml_export_import"
         (Staged.stage (fun () ->
              ignore (Xml.import (Xml.export paper_data))));
-      Test.make ~name:"E15_binary_encode_decode"
+      Test.make ~name:"E15_segment_encode_decode"
         (Staged.stage (fun () ->
              ignore
-               (Repository.Binary.decode (Repository.Binary.encode cnn_small))));
+               (Repository.Segment.to_graph
+                  (Repository.Segment.of_string
+                     (Repository.Segment.encode cnn_small)))));
       Test.make ~name:"E15_ddl_print_parse"
         (Staged.stage (fun () ->
              ignore (Ddl.parse (Ddl.print cnn_small))));

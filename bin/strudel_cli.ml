@@ -19,11 +19,6 @@ let read_file path =
   close_in ic;
   s
 
-let write_file path s =
-  let oc = open_out path in
-  output_string oc s;
-  close_out oc
-
 let or_die f =
   try f () with
   | Ddl.Ddl_error (msg, line) ->
@@ -61,8 +56,8 @@ let or_die f =
       name
       (String.concat ", " declared);
     exit 1
-  | Repository.Binary.Corrupt (msg, offset) ->
-    Fmt.epr "corrupt binary graph at byte %d: %s@." offset msg;
+  | Repository.Segment.Corrupt (msg, offset) ->
+    Fmt.epr "corrupt segment at byte %d: %s@." offset msg;
     exit 1
   | Repository.Shard.Manifest_error msg ->
     Fmt.epr "malformed shard manifest: %s@." msg;
@@ -91,7 +86,9 @@ let data_arg =
          ~doc:"Data graph in DDL syntax.")
 
 let emit output s =
-  match output with None -> print_string s | Some p -> write_file p s
+  match output with
+  | None -> print_string s
+  | Some path -> Repository.Atomic_file.write ~path s
 
 (* --- load --- *)
 
@@ -382,16 +379,6 @@ let build_cmd =
                 machine's domain count; output is byte-identical \
                 either way).")
   in
-  let stream_arg =
-    Arg.(value & flag
-         & info [ "stream" ]
-             ~doc:
-               "Stream pages to the output directory as they render \
-                instead of materializing the whole site in memory \
-                first — peak memory is bounded by the render slice, \
-                not the site size.  Output is byte-identical to a \
-                non-streamed build.")
-  in
   let stats_arg =
     Arg.(value & flag
          & info [ "stats" ]
@@ -429,7 +416,7 @@ let build_cmd =
          & info [ "shard-by" ] ~docv:"SPEC"
              ~doc:"Partitioning spec for $(b,--shards): collection or family.")
   in
-  let run data query root templates strategy dir jobs stream stats on_error
+  let run data query root templates strategy dir jobs stats on_error
       retries faults_out shards_dir shard_by =
     or_die (fun () ->
         let jobs =
@@ -473,21 +460,12 @@ let build_cmd =
             ~strategy
             [ ("site", read_file query) ]
         in
-        let sink =
-          if stream then Some (Strudel.Render_pool.file_sink ~dir) else None
-        in
+        (* pages stream to [dir] as they render: peak memory is bounded
+           by the render slice, not the site size *)
         let built =
-          Strudel.Site.build ~jobs ~on_error ~fault ?sink ~data:g def
+          Strudel.Site.build ~jobs ~on_error ~fault
+            ~sink:(Strudel.Render_pool.file_sink ~dir) ~data:g def
         in
-        let rec mkdirs d =
-          if d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-            mkdirs (Filename.dirname d);
-            Sys.mkdir d 0o755
-          end
-        in
-        mkdirs dir;
-        if not stream then
-          Template.Generator.write_site ~dir built.Strudel.Site.site;
         Fmt.pr "%d pages written to %s@."
           built.Strudel.Site.render_profile.Strudel.Render_pool.rp_pages
           dir;
@@ -524,7 +502,8 @@ let build_cmd =
           | Some p -> p
           | None -> Filename.concat dir "faults.json"
         in
-        write_file manifest_path (Fault.Manifest.to_json manifest);
+        Repository.Atomic_file.write ~path:manifest_path
+          (Fault.Manifest.to_json manifest);
         (match Fault.Manifest.status manifest with
          | Fault.Manifest.Clean -> ()
          | Fault.Manifest.Degraded ->
@@ -535,7 +514,7 @@ let build_cmd =
   in
   Cmd.v (Cmd.info "build" ~doc:"Build a browsable site from data + query + templates.")
     Term.(const run $ data_arg $ query_arg $ root_arg $ template_arg
-          $ strategy_arg $ dir_arg $ jobs_arg $ stream_arg $ stats_arg
+          $ strategy_arg $ dir_arg $ jobs_arg $ stats_arg
           $ on_error_arg $ retries_arg $ faults_out_arg $ shards_dir_arg
           $ shard_by_arg)
 
@@ -1233,15 +1212,6 @@ let watch_cmd =
                "Stop after $(docv) poll cycles (0 = run until \
                 interrupted).")
   in
-  let full_arg =
-    Arg.(value & flag
-         & info [ "full" ]
-             ~doc:
-               "Kill switch: disable differential evaluation and \
-                re-derive every block each cycle (bytes are identical \
-                either way; this trades speed for simplicity when \
-                debugging).")
-  in
   let stats_arg =
     Arg.(value & flag
          & info [ "stats" ]
@@ -1250,10 +1220,8 @@ let watch_cmd =
                 and each block's classification (driven / static / \
                 fallback with reason).")
   in
-  let run which data query root templates out jobs interval max_cycles full
-      stats =
+  let run which data query root templates out jobs interval max_cycles stats =
     or_die (fun () ->
-        if full then Struql.Exec.delta_enabled := false;
         let jobs =
           if jobs <= 0 then Strudel.Render_pool.auto_jobs () else jobs
         in
@@ -1261,13 +1229,11 @@ let watch_cmd =
         let sink =
           Option.map (fun dir -> Strudel.Render_pool.file_sink ~dir) out
         in
-        let session, ingest =
+        let source, def =
           match which with
           | `Org ->
             let _, w = Sites.Org.data () in
-            ( Serve.Watch.create ~jobs ~on_error:Fault.Degrade ~fault ?sink
-                ~source:(Serve.Watch.Mediated w) Sites.Org.definition,
-              fun s -> Some (Serve.Watch.cycle s) )
+            (Serve.Watch.Mediated w, Sites.Org.definition)
           | `Custom ->
             let data_file, query_file =
               match (data, query) with
@@ -1283,54 +1249,27 @@ let watch_cmd =
                   List.map (fun (c, f) -> (c, read_file f)) templates;
               }
             in
-            let def =
+            ( Serve.Watch.File data_file,
               Strudel.Site.define ~name:"site" ~root_family:root ~templates
-                [ ("site", read_file query_file) ]
-            in
-            let g, _ = Ddl.parse ~graph_name:"input" (read_file data_file) in
-            let session =
-              Serve.Watch.create ~jobs ~on_error:Fault.Degrade ~fault ?sink
-                ~source:(Serve.Watch.Direct g) def
-            in
-            let mtime () = (Unix.stat data_file).Unix.st_mtime in
-            let last = ref (mtime ()) in
-            ( session,
-              fun s ->
-                let m = mtime () in
-                if m = !last then None
-                else begin
-                  last := m;
-                  let old = Struql.Dexec.data_graph (Serve.Watch.engine s) in
-                  let fresh, _ =
-                    Ddl.parse ~graph_name:"input" (read_file data_file)
-                  in
-                  let rebased = Delta.rebase ~old fresh in
-                  let delta = Delta.diff ~old rebased in
-                  Some (Serve.Watch.push ~data:rebased s delta)
-                end )
+                [ ("site", read_file query_file) ] )
+        in
+        let session =
+          Serve.Watch.create ~jobs ~on_error:Fault.Degrade ~fault ?sink ~source
+            def
         in
         let b = Serve.Watch.built session in
         Fmt.pr "watch: %s primed — %d pages%s@."
           b.Strudel.Site.def.Strudel.Site.name
           b.Strudel.Site.render_profile.Strudel.Render_pool.rp_pages
           (match out with Some d -> " published to " ^ d | None -> "");
-        let degraded = ref false in
-        let note_degraded (r : Serve.Watch.cycle_report) =
-          if r.Serve.Watch.cy_quarantined <> [] then degraded := true
+        let code =
+          Serve.Watch.watch ~interval
+            ?max_cycles:(if max_cycles > 0 then Some max_cycles else None)
+            ~on_cycle:(fun _ r ->
+              if r.Serve.Watch.cy_changed || r.Serve.Watch.cy_quarantined <> []
+              then Fmt.pr "%a@." Serve.Watch.pp_report r)
+            session
         in
-        let cycles = ref 0 in
-        let continue_ = ref true in
-        while !continue_ do
-          (match ingest session with
-           | Some r ->
-             note_degraded r;
-             if r.Serve.Watch.cy_changed || r.Serve.Watch.cy_quarantined <> []
-             then Fmt.pr "%a@." Serve.Watch.pp_report r
-           | None -> ());
-          incr cycles;
-          if max_cycles > 0 && !cycles >= max_cycles then continue_ := false;
-          if !continue_ then Unix.sleepf interval
-        done;
         if stats then begin
           Fmt.pr "%a@."
             Struql.Dexec.pp_counters
@@ -1339,8 +1278,7 @@ let watch_cmd =
             (fun (path, c) -> Fmt.pr "  %-28s %s@." path c)
             (Struql.Dexec.classes (Serve.Watch.engine session))
         end;
-        if Fault.fault_count fault > 0 then degraded := true;
-        exit (if !degraded then 3 else 0))
+        exit code)
   in
   Cmd.v
     (Cmd.info "watch"
@@ -1360,12 +1298,14 @@ let watch_cmd =
               $(b,strudel build) over the same data.";
            `P
              "Exit codes: 0 every cycle published cleanly, 3 degraded \
-              (a source was quarantined or a fault was recorded; the \
-              site keeps serving stale data for that source), 2 usage \
-              error, 1 fatal error." ])
+              (a source was quarantined — for $(b,custom), a save of \
+              the data file that could not be read or parsed — a page \
+              was published as a placeholder, or a fault was recorded; \
+              the site keeps serving the last good data of that \
+              source), 2 usage error, 1 fatal error." ])
     Term.(const run $ which_arg $ data_opt_arg $ query_opt_arg $ root_arg
           $ template_arg $ out_arg $ jobs_arg $ interval_arg
-          $ max_cycles_arg $ full_arg $ stats_arg)
+          $ max_cycles_arg $ stats_arg)
 
 (* --- repo: inspect a sharded repository --- *)
 
@@ -1396,7 +1336,7 @@ let repo_cmd =
                   (Repository.Segment.read ~path ())
               with
               | () -> Fmt.pr "%s: ok@." e.Repository.Shard.e_file
-              | exception Repository.Binary.Corrupt (msg, off) ->
+              | exception Repository.Segment.Corrupt (msg, off) ->
                 incr bad;
                 Fmt.pr "%s: CORRUPT at byte %d: %s@."
                   e.Repository.Shard.e_file off msg
@@ -1444,14 +1384,7 @@ let demo_cmd =
           | `Cnn -> Sites.Cnn.build ~articles:100 ()
           | `Org -> Sites.Org.build ~people:50 ~orgs:5 ()
         in
-        let rec mkdirs d =
-          if d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-            mkdirs (Filename.dirname d);
-            Sys.mkdir d 0o755
-          end
-        in
-        mkdirs dir;
-        Template.Generator.write_site ~dir built.Strudel.Site.site;
+        Strudel.Api.write ~dir built;
         Fmt.pr "%d pages written to %s@."
           (Template.Generator.page_count built.Strudel.Site.site)
           dir)

@@ -65,8 +65,6 @@ let () =
     st.Strudel.Materialize.Click_time.materialized_nodes
     (Graph.node_count general.Strudel.Site.site_graph);
 
-  if not (Sys.file_exists "_site") then Sys.mkdir "_site" 0o755;
-  Template.Generator.write_site ~dir:"_site/cnn" general.Strudel.Site.site;
-  Template.Generator.write_site ~dir:"_site/cnn-sports"
-    sports.Strudel.Site.site;
+  Strudel.Api.write ~dir:"_site/cnn" general;
+  Strudel.Api.write ~dir:"_site/cnn-sports" sports;
   Fmt.pr "written to _site/cnn/ and _site/cnn-sports/@."

@@ -20,11 +20,8 @@ let () =
         Schema.Verify.pp_verdict v)
     internal.Strudel.Site.verification;
 
-  if not (Sys.file_exists "_site") then Sys.mkdir "_site" 0o755;
-  Template.Generator.write_site ~dir:"_site/homepage-internal"
-    internal.Strudel.Site.site;
-  Template.Generator.write_site ~dir:"_site/homepage-external"
-    external_.Strudel.Site.site;
+  Strudel.Api.write ~dir:"_site/homepage-internal" internal;
+  Strudel.Api.write ~dir:"_site/homepage-external" external_;
   Fmt.pr "internal: %d pages -> _site/homepage-internal/@."
     (Template.Generator.page_count internal.Strudel.Site.site);
   Fmt.pr "external: %d pages -> _site/homepage-external/@."

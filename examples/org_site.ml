@@ -47,11 +47,8 @@ let () =
   Fmt.pr "refreshed; mediated now: %a@." Graph.pp_stats
     (Mediator.Warehouse.graph w);
 
-  if not (Sys.file_exists "_site") then Sys.mkdir "_site" 0o755;
-  Template.Generator.write_site ~dir:"_site/org-internal"
-    internal.Strudel.Site.site;
-  Template.Generator.write_site ~dir:"_site/org-external"
-    external_.Strudel.Site.site;
+  Strudel.Api.write ~dir:"_site/org-internal" internal;
+  Strudel.Api.write ~dir:"_site/org-external" external_;
 
   (* dot export of the site schema — the visual map of the site *)
   (match internal.Strudel.Site.schemas with

@@ -33,8 +33,7 @@ let () =
 
   (* 3. Presentation: the HTML generator already ran; write the pages. *)
   let dir = "_site/quickstart" in
-  if not (Sys.file_exists "_site") then Sys.mkdir "_site" 0o755;
-  Template.Generator.write_site ~dir built.Strudel.Site.site;
+  Strudel.Api.write ~dir built;
   Fmt.pr "@.%d pages written to %s/:@."
     (Template.Generator.page_count built.Strudel.Site.site)
     dir;

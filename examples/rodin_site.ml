@@ -33,6 +33,5 @@ let () =
       | _ -> ())
    | [] -> ());
 
-  if not (Sys.file_exists "_site") then Sys.mkdir "_site" 0o755;
-  Template.Generator.write_site ~dir:"_site/rodin" built.Strudel.Site.site;
+  Strudel.Api.write ~dir:"_site/rodin" built;
   Fmt.pr "written to _site/rodin/@."

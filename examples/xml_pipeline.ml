@@ -107,6 +107,5 @@ let () =
   |> List.filteri (fun i _ -> i < 8)
   |> List.iter print_endline;
 
-  if not (Sys.file_exists "_site") then Sys.mkdir "_site" 0o755;
-  Template.Generator.write_site ~dir:"_site/feed" built.Strudel.Site.site;
+  Strudel.Api.write ~dir:"_site/feed" built;
   Fmt.pr "@.written to _site/feed/@."

@@ -64,6 +64,8 @@ let build_site ~name ~root_family ~query:(q : string)
   Site.build ~data
     (Site.define ~name ~root_family ~templates [ ("site", q) ])
 
-(** Write a built site's pages to a directory. *)
+(** Write a built site's pages below [dir] (created if missing)
+    through {!Render_pool.file_sink}. *)
 let write ~dir (b : Site.built) =
-  Template.Generator.write_site ~dir b.Site.site
+  let sink = Render_pool.file_sink ~dir in
+  List.iter sink.Render_pool.sk_emit b.Site.site.Template.Generator.pages

@@ -123,12 +123,11 @@ type sink = {
           everything emitted so far is invalid and will be re-emitted *)
 }
 
-(** A sink that writes each page below [dir] as {!G.write_site} would
-    (the directory is created if missing); reset removes the emitted
-    files.  Each page is written to a temporary file in [dir] and
-    renamed over its path, so a reader (or a crash) sees the old page
-    or the new one, never a truncated one.  The emitted paths are kept
-    once each, however often a page is re-emitted. *)
+(** A sink that writes each page below [dir] (created if missing)
+    through {!Repository.Atomic_file.write}, so a reader (or a crash)
+    sees the old page or the new one, never a truncated one; reset
+    removes the emitted files.  The emitted paths are kept once each,
+    however often a page is re-emitted. *)
 let file_sink ~dir =
   let rec mkdirs d =
     if d <> "." && d <> "/" && not (Sys.file_exists d) then begin
@@ -142,20 +141,7 @@ let file_sink ~dir =
     sk_emit =
       (fun p ->
         let path = Filename.concat dir p.G.url in
-        (* same directory, so the rename is atomic; created with the
-           mode (and umask) a plain [open_out] would give the page *)
-        let tmp =
-          Filename.concat dir
-            (Printf.sprintf ".%s.%d.tmp" p.G.url (Unix.getpid ()))
-        in
-        (try
-           Out_channel.with_open_gen
-             [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o666 tmp
-             (fun oc -> Out_channel.output_string oc p.G.html);
-           Sys.rename tmp path
-         with e ->
-           (try Sys.remove tmp with Sys_error _ -> ());
-           raise e);
+        Repository.Atomic_file.write ~path p.G.html;
         Hashtbl.replace written path ());
     sk_reset =
       (fun () ->

@@ -73,11 +73,11 @@ type sink = {
 }
 
 val file_sink : dir:string -> sink
-(** A sink writing each page below [dir] (created if missing), as
-    {!Template.Generator.write_site} would: to a temporary file in
-    [dir], then renamed into place, so a reader or a crash never sees
-    a truncated page.  It remembers each emitted path once (not once
-    per emission); reset removes those files. *)
+(** The one way pages reach disk: a sink writing each page below [dir]
+    (created if missing) through {!Repository.Atomic_file.write} — to a
+    temporary file in [dir], then renamed into place, so a reader or a
+    crash never sees a truncated page.  It remembers each emitted path
+    once (not once per emission); reset removes those files. *)
 
 val default_slice : int
 (** Bound on pages a wave slice holds in memory at once — also

@@ -7,10 +7,12 @@
    small metadata blob.  Every section's offset is a pure function of
    the header counts, so a mapped reader indexes sections in place; a
    body checksum (FNV-1a 64) catches bit flips, and every access is
-   bounds-checked so corruption surfaces as {!Binary.Corrupt} with the
+   bounds-checked so corruption surfaces as {!Corrupt} with the
    absolute byte offset, never as a crash. *)
 
 open Sgraph
+
+exception Corrupt of string * int  (** message, byte offset *)
 
 let magic = "SGSEG001"
 let header_ints = 16
@@ -20,7 +22,7 @@ let header_len = String.length magic + (8 * header_ints)
    corrupted header cannot overflow offset computations. *)
 let max_count = 1 lsl 42
 
-let corrupt msg pos = raise (Binary.Corrupt (msg, pos))
+let corrupt msg pos = raise (Corrupt (msg, pos))
 let pad8 n = (n + 7) land lnot 7
 
 let fnv_basis = 0xcbf29ce484222325L
@@ -130,9 +132,123 @@ let geometry ~n_nodes ~n_values ~n_labels ~n_edges ~n_colls ~n_members
     total = !pos;
   }
 
+(* --- value codec ---
+
+   An atomic value in the value heap is a varint tag and its payload;
+   strings are indexes into the segment's string table. *)
+
+(* LEB128 over the 63-bit unsigned word ([lsr] is logical), so any bit
+   pattern round-trips. *)
+let put_varint buf n =
+  let n = ref n in
+  let continue = ref true in
+  while !continue do
+    let b = !n land 0x7f in
+    n := !n lsr 7;
+    if !n = 0 then begin
+      Buffer.add_char buf (Char.chr b);
+      continue := false
+    end
+    else Buffer.add_char buf (Char.chr (b lor 0x80))
+  done
+
+(* Zigzag over the full 63-bit range (wraparound-safe). *)
+let zigzag n = (n lsl 1) lxor (n asr 62)
+let unzigzag z = (z lsr 1) lxor (- (z land 1))
+
+(* The write-side string table: first occurrence assigns the next id. *)
+type interner = {
+  tbl : (string, int) Hashtbl.t;
+  mutable rev : string list;
+  mutable count : int;
+}
+
+let interner () = { tbl = Hashtbl.create 256; rev = []; count = 0 }
+
+let intern it s =
+  match Hashtbl.find_opt it.tbl s with
+  | Some i -> i
+  | None ->
+    let i = it.count in
+    Hashtbl.add it.tbl s i;
+    it.rev <- s :: it.rev;
+    it.count <- i + 1;
+    i
+
+let put_value buf it v =
+  match v with
+  | Value.Null -> put_varint buf 0
+  | Value.Bool false -> put_varint buf 1
+  | Value.Bool true -> put_varint buf 2
+  | Value.Int i ->
+    put_varint buf 3;
+    put_varint buf (zigzag i)
+  | Value.Float f ->
+    (* the 64 payload bits do not fit OCaml's 63-bit int: store two
+       32-bit halves *)
+    put_varint buf 4;
+    let bits = Int64.bits_of_float f in
+    put_varint buf (Int64.to_int (Int64.logand bits 0xFFFFFFFFL));
+    put_varint buf (Int64.to_int (Int64.shift_right_logical bits 32))
+  | Value.String s ->
+    put_varint buf 5;
+    put_varint buf (intern it s)
+  | Value.Url s ->
+    put_varint buf 6;
+    put_varint buf (intern it s)
+  | Value.File (k, p) ->
+    put_varint buf 7;
+    put_varint buf (intern it (Value.file_kind_name k));
+    put_varint buf (intern it p)
+
+(* Decode the one value in [s], the value's heap slice found at
+   absolute offset [abs]; errors carry absolute offsets. *)
+let get_value ~abs s strings =
+  let pos = ref 0 in
+  let rec varint shift acc =
+    if !pos >= String.length s then corrupt "unexpected end" (abs + !pos);
+    let b = Char.code s.[!pos] in
+    incr pos;
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 <> 0 then varint (shift + 7) acc else acc
+  in
+  let get_varint () = varint 0 0 in
+  let str i =
+    if i < 0 || i >= Array.length strings then
+      corrupt "string index" (abs + !pos);
+    strings.(i)
+  in
+  let v =
+    match get_varint () with
+    | 0 -> Value.Null
+    | 1 -> Value.Bool false
+    | 2 -> Value.Bool true
+    | 3 -> Value.Int (unzigzag (get_varint ()))
+    | 4 ->
+      let lo = Int64.of_int (get_varint ()) in
+      let hi = Int64.of_int (get_varint ()) in
+      Value.Float
+        (Int64.float_of_bits (Int64.logor lo (Int64.shift_left hi 32)))
+    | 5 -> Value.String (str (get_varint ()))
+    | 6 -> Value.Url (str (get_varint ()))
+    | 7 ->
+      let kind = str (get_varint ()) in
+      let path = str (get_varint ()) in
+      let k =
+        match Value.file_kind_of_name kind with
+        | Some k -> k
+        | None -> Value.Other_file kind
+      in
+      Value.File (k, path)
+    | t -> corrupt (Printf.sprintf "unknown value tag %d" t) (abs + !pos)
+  in
+  if !pos <> String.length s then
+    corrupt "trailing bytes in value" (abs + !pos);
+  v
+
 (* --- writing --- *)
 
-let encode ?(epoch = 0) ?(meta = []) ~gid ~edge_seq ~coll_seq (g : Graph.t) =
+let encode ?(epoch = 0) ?(meta = []) ?gid ?edge_seq ?coll_seq (g : Graph.t) =
   let csr = Graph.freeze g in
   let n_nodes = csr.Csr.n_nodes in
   let n_values = csr.Csr.n_values in
@@ -140,31 +256,38 @@ let encode ?(epoch = 0) ?(meta = []) ~gid ~edge_seq ~coll_seq (g : Graph.t) =
   (* [Graph.freeze] pads the edge arrays to length [max 1 ne], so the true
      edge count comes from the offsets, not the array length. *)
   let n_edges = csr.Csr.fwd_off.(n_nodes) in
-  let it = Binary.interner () in
-  let label_sid = Array.map (Binary.intern it) csr.Csr.label_names in
+  let it = interner () in
+  let label_sid = Array.map (intern it) csr.Csr.label_names in
   let node_name_sid =
-    Array.map (fun o -> Binary.intern it (Oid.name o)) csr.Csr.node_ids
+    Array.map (fun o -> intern it (Oid.name o)) csr.Csr.node_ids
   in
-  let node_gid = Array.map gid csr.Csr.node_ids in
+  let node_gid =
+    match gid with
+    | Some gid -> Array.map gid csr.Csr.node_ids
+    | None -> Array.init n_nodes Fun.id
+  in
   let vbuf = Buffer.create 256 in
   let val_off = Array.make (n_values + 1) 0 in
   Array.iteri
     (fun i v ->
       val_off.(i) <- Buffer.length vbuf;
-      Binary.put_value vbuf it v)
+      put_value vbuf it v)
     csr.Csr.values;
   val_off.(n_values) <- Buffer.length vbuf;
-  let seqs = Array.make n_edges 0 in
-  for i = 0 to n_nodes - 1 do
-    let base = csr.Csr.fwd_off.(i) in
-    let o = csr.Csr.node_ids.(i) in
-    for k = 0 to csr.Csr.fwd_off.(i + 1) - base - 1 do
-      seqs.(base + k) <- edge_seq o k
-    done
-  done;
+  let seqs = Array.init n_edges Fun.id in
+  Option.iter
+    (fun edge_seq ->
+      for i = 0 to n_nodes - 1 do
+        let base = csr.Csr.fwd_off.(i) in
+        let o = csr.Csr.node_ids.(i) in
+        for k = 0 to csr.Csr.fwd_off.(i + 1) - base - 1 do
+          seqs.(base + k) <- edge_seq o k
+        done
+      done)
+    edge_seq;
   let colls = Graph.collections g in
   let n_colls = List.length colls in
-  let coll_sid = Array.of_list (List.map (Binary.intern it) colls) in
+  let coll_sid = Array.of_list (List.map (intern it) colls) in
   let member_lists =
     List.map (fun c -> (c, Array.of_list (Graph.collection g c))) colls
   in
@@ -184,7 +307,7 @@ let encode ?(epoch = 0) ?(meta = []) ~gid ~edge_seq ~coll_seq (g : Graph.t) =
              (match Csr.node_index csr o with
               | Some i -> i
               | None -> invalid_arg "Segment.encode: member is not a node"));
-          mem_seq.(p) <- coll_seq c k)
+          mem_seq.(p) <- (match coll_seq with Some f -> f c k | None -> p))
         ms)
     member_lists;
   let meta = ("graph", Graph.name g) :: meta in
@@ -199,7 +322,7 @@ let encode ?(epoch = 0) ?(meta = []) ~gid ~edge_seq ~coll_seq (g : Graph.t) =
       Buffer.add_string mbuf v;
       Buffer.add_char mbuf '\n')
     meta;
-  let strings = Binary.interner_strings it in
+  let strings = List.rev it.rev in
   let n_strings = List.length strings in
   let sbuf = Buffer.create 1024 in
   let str_off = Array.make (n_strings + 1) 0 in
@@ -272,33 +395,10 @@ let encode ?(epoch = 0) ?(meta = []) ~gid ~edge_seq ~coll_seq (g : Graph.t) =
   Buffer.add_string out body;
   Buffer.contents out
 
-let write ~path ?epoch ?meta ~gid ~edge_seq ~coll_seq g =
-  let s = encode ?epoch ?meta ~gid ~edge_seq ~coll_seq g in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc s;
-  close_out oc;
-  Sys.rename tmp path;
+let write ~path ?epoch ?meta ?gid ?edge_seq ?coll_seq g =
+  let s = encode ?epoch ?meta ?gid ?edge_seq ?coll_seq g in
+  Atomic_file.write ~path s;
   String.length s
-
-let write_graph ~path ?epoch ?meta g =
-  let csr = Graph.freeze g in
-  let idx o =
-    match Csr.node_index csr o with
-    | Some i -> i
-    | None -> invalid_arg "Segment.write_graph: unknown node"
-  in
-  let coll_base = Hashtbl.create 16 in
-  let base = ref 0 in
-  List.iter
-    (fun c ->
-      Hashtbl.replace coll_base c !base;
-      base := !base + Graph.collection_size g c)
-    (Graph.collections g);
-  write ~path ?epoch ?meta ~gid:idx
-    ~edge_seq:(fun o k -> csr.Csr.fwd_off.(idx o) + k)
-    ~coll_seq:(fun c k -> Hashtbl.find coll_base c + k)
-    g
 
 (* --- reading --- *)
 
@@ -479,14 +579,7 @@ let value t i =
     corrupt "value heap offsets out of range" (t.geo.o_val_off + (8 * i));
   let abs = t.geo.o_valheap + s0 in
   let slice = get_sub t.src abs (s1 - s0) in
-  let r = { Binary.src = slice; pos = 0 } in
-  let v =
-    try Binary.get_value r (strings t)
-    with Binary.Corrupt (msg, p) -> corrupt msg (abs + p)
-  in
-  if r.Binary.pos <> String.length slice then
-    corrupt "trailing bytes in value" (abs + r.Binary.pos);
-  v
+  get_value ~abs slice (strings t)
 
 let collections t =
   List.init t.geo.n_colls (fun i ->

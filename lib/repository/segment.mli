@@ -7,16 +7,23 @@
     as fixed-width little-endian [int64] sections behind a checksummed
     header, so a reader can either decode the whole file or map it and
     index sections in place without parsing.  Alongside the CSR arrays
-    a segment records what the plain {!Binary} format cannot: each
-    node's {e global id} (its position in the mediated union graph) and
-    per-element {e sequence numbers} for edges and collection members,
-    which let {!Shard} re-assemble a multi-segment repository into a
-    union graph whose iteration orders are deterministic.
+    a segment records each node's {e global id} (its position in the
+    mediated union graph) and per-element {e sequence numbers} for
+    edges and collection members, which let {!Shard} re-assemble a
+    multi-segment repository into a union graph whose iteration orders
+    are deterministic.  Segments are the repository's one binary graph
+    format: a standalone graph is a segment with the canonical
+    numbering.
 
-    All malformed-input errors raise {!Binary.Corrupt} carrying the
-    absolute byte offset at which the reader gave up. *)
+    All malformed-input errors raise {!Corrupt} carrying the absolute
+    byte offset at which the reader gave up. *)
 
 open Sgraph
+
+exception Corrupt of string * int
+(** Malformed input: what was wrong, and the byte offset at which the
+    reader detected it (so a truncated or bit-flipped file can be
+    triaged without a hex dump). *)
 
 val magic : string
 (** ["SGSEG001"]; the first 8 bytes of every segment file. *)
@@ -26,40 +33,37 @@ val magic : string
 val encode :
   ?epoch:int ->
   ?meta:(string * string) list ->
-  gid:(Oid.t -> int) ->
-  edge_seq:(Oid.t -> int -> int) ->
-  coll_seq:(string -> int -> int) ->
+  ?gid:(Oid.t -> int) ->
+  ?edge_seq:(Oid.t -> int -> int) ->
+  ?coll_seq:(string -> int -> int) ->
   Graph.t ->
   string
 (** Freeze the graph and serialize its snapshot.  [gid] maps each node
     to its global id; [edge_seq node k] gives the global sequence
     number of the node's [k]-th outgoing edge (insertion order);
-    [coll_seq c k] that of collection [c]'s [k]-th member.  [meta] keys
-    and values must not contain ['\n'] (or ['='] in keys). *)
+    [coll_seq c k] that of collection [c]'s [k]-th member.  Each
+    defaults to the canonical standalone numbering — node positions,
+    and the node-major (collection-major) enumeration order — which is
+    the single-graph case.  [meta] keys and values must not contain
+    ['\n'] (or ['='] in keys). *)
 
 val write :
   path:string ->
   ?epoch:int ->
   ?meta:(string * string) list ->
-  gid:(Oid.t -> int) ->
-  edge_seq:(Oid.t -> int -> int) ->
-  coll_seq:(string -> int -> int) ->
+  ?gid:(Oid.t -> int) ->
+  ?edge_seq:(Oid.t -> int -> int) ->
+  ?coll_seq:(string -> int -> int) ->
   Graph.t ->
   int
-(** [encode] to a file (written to a temporary name, then renamed into
-    place); returns the byte size. *)
-
-val write_graph :
-  path:string -> ?epoch:int -> ?meta:(string * string) list -> Graph.t -> int
-(** [write] with canonical standalone numbering: global ids are node
-    positions and sequence numbers the node-major enumeration order —
-    the single-shard (or testing) case. *)
+(** [encode] to a file through {!Atomic_file.write}; returns the byte
+    size. *)
 
 (** {1 Reading} *)
 
 type t
 (** An open segment: either fully loaded bytes or a live memory map.
-    Accessors validate on touch and raise {!Binary.Corrupt} with
+    Accessors validate on touch and raise {!Corrupt} with
     absolute byte offsets. *)
 
 val of_string : ?verify:bool -> string -> t
@@ -108,11 +112,10 @@ val iter_members : t -> (int -> string -> int -> unit) -> unit
 val to_graph : ?indexed:bool -> ?name:string -> t -> Graph.t
 (** Materialize the segment as a fresh graph: nodes in stored order
     (names preserved, fresh oids), then edges node-major, then
-    collections — the same canonical replay order {!Binary.decode}
-    uses. *)
+    collections. *)
 
 val validate : t -> unit
 (** Walk every section (strings, values, adjacency in both directions,
-    collections, meta) raising {!Binary.Corrupt} at the first
+    collections, meta) raising {!Corrupt} at the first
     malformed byte; used by [strudel repo status --check] and the
     corruption fuzz suite. *)

@@ -127,11 +127,8 @@ let write_manifest ~dir m =
       List.iter (fun c -> Printf.bprintf b "c %S\n" c) e.e_collections;
       List.iter (fun l -> Printf.bprintf b "l %S\n" l) e.e_labels)
     m.m_entries;
-  let tmp = Filename.concat dir (manifest_file ^ ".tmp") in
-  let oc = open_out_bin tmp in
-  Buffer.output_buffer oc b;
-  close_out oc;
-  Sys.rename tmp (Filename.concat dir manifest_file)
+  Atomic_file.write ~path:(Filename.concat dir manifest_file)
+    (Buffer.contents b)
 
 let load_manifest ~dir =
   let path = Filename.concat dir manifest_file in

@@ -107,4 +107,4 @@ val open_dir : ?verify:bool -> dir:string -> unit -> snapshot
 (** Load a cold repository: read the manifest, decode every segment
     ([verify] as in {!Segment.read}, default [true]), and re-assemble
     the union graph by global-id node order and sequence-ordered edge /
-    collection replay.  Raises {!Manifest_error} or {!Binary.Corrupt}. *)
+    collection replay.  Raises {!Manifest_error} or {!Segment.Corrupt}. *)

@@ -43,19 +43,12 @@ let load_graph ~name text =
   let g, _dirs = Ddl.parse ~graph_name:name text in
   g
 
-(** Save every graph below [dir]: [`Ddl] writes human-readable
-    [<name>.ddl] text, [`Binary] the compact [<name>.sgbin] format of
-    {!Binary}. *)
-let save_dir ?(format = `Ddl) repo ~dir =
+(** Save every graph below [dir] as human-readable [<name>.ddl] text. *)
+let save_dir repo ~dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   List.iter
     (fun (name, g) ->
-      match format with
-      | `Ddl ->
-        let oc = open_out (Filename.concat dir (name ^ ".ddl")) in
-        output_string oc (dump_graph g);
-        close_out oc
-      | `Binary -> Binary.save ~path:(Filename.concat dir (name ^ ".sgbin")) g)
+      Atomic_file.write ~path:(Filename.concat dir (name ^ ".ddl")) (dump_graph g))
     repo.graphs
 
 let read_file path =
@@ -65,8 +58,7 @@ let read_file path =
   close_in ic;
   s
 
-(** Load every [*.ddl] and [*.sgbin] file of [dir] into a fresh
-    repository. *)
+(** Load every [*.ddl] file of [dir] into a fresh repository. *)
 let load_dir ~dir =
   let repo = create () in
   if Sys.file_exists dir then
@@ -75,9 +67,7 @@ let load_dir ~dir =
         if Filename.check_suffix f ".ddl" then begin
           let name = Filename.chop_suffix f ".ddl" in
           put repo (load_graph ~name (read_file (Filename.concat dir f)))
-        end
-        else if Filename.check_suffix f ".sgbin" then
-          put repo (Binary.load ~path:(Filename.concat dir f) ()))
+        end)
       (Sys.readdir dir);
   repo
 

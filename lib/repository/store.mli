@@ -5,8 +5,8 @@
     information to organize data; instead graphs are fully indexed
     (collection and attribute extents, global value index, schema
     index) — the indexes live in {!Sgraph.Graph} and are rebuilt when a
-    graph loads.  Persistence is the human-readable DDL or the compact
-    {!Binary} format. *)
+    graph loads.  A catalog persists as human-readable DDL; the compact
+    binary form of a graph is a {!Segment} (see {!Shard}). *)
 
 open Sgraph
 
@@ -30,12 +30,12 @@ val dump_graph : Graph.t -> string
 
 val load_graph : name:string -> string -> Graph.t
 
-val save_dir : ?format:[ `Ddl | `Binary ] -> t -> dir:string -> unit
-(** Persist every graph below [dir] as [<name>.ddl] or
-    [<name>.sgbin]. *)
+val save_dir : t -> dir:string -> unit
+(** Persist every graph below [dir] as [<name>.ddl], each file replaced
+    through {!Atomic_file.write}. *)
 
 val load_dir : dir:string -> t
-(** Load every [*.ddl] and [*.sgbin] file of [dir]. *)
+(** Load every [*.ddl] file of [dir]. *)
 
 val reload : Graph.t -> Graph.t
 (** Round-trip a graph through the DDL (fresh oids, same structure,

@@ -17,8 +17,21 @@ type source =
   | Mediated of Mediator.Warehouse.t
       (** watch a warehousing mediator; {!cycle} polls
           {!Mediator.Warehouse.refresh_delta} *)
+  | File of string
+      (** watch a DDL file; {!cycle} polls its modification time *)
 
-type mode = M_direct of Delta.Rec.r | M_mediated of Mediator.Warehouse.t
+(* A watched file: the stamp (mtime, size) last read, and why the file
+   is quarantined while its last read failed. *)
+type file = {
+  path : string;
+  mutable stamp : float * int;
+  mutable stale : string option;
+}
+
+type mode =
+  | M_direct of Delta.Rec.r
+  | M_mediated of Mediator.Warehouse.t
+  | M_file of file
 
 type t = {
   mode : mode;
@@ -76,12 +89,21 @@ let quarantined_of w =
       | Mediator.Warehouse.Changed | Mediator.Warehouse.Unchanged -> None)
     (Mediator.Warehouse.last_refresh w)
 
+let stamp path =
+  let st = Unix.stat path in
+  (st.Unix.st_mtime, st.Unix.st_size)
+
+let parse_file path =
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  fst (Ddl.parse ~graph_name:"input" text)
+
 let create ?(jobs = 1) ?(on_error = Fault.Abort) ?fault ?sink ~source
     (def : Strudel.Site.definition) : t =
   let data =
     match source with
     | Direct g -> g
     | Mediated w -> Mediator.Warehouse.graph w
+    | File path -> parse_file path
   in
   let parsed = Strudel.Site.parse_queries def in
   let options =
@@ -104,6 +126,7 @@ let create ?(jobs = 1) ?(on_error = Fault.Abort) ?fault ?sink ~source
     match source with
     | Direct g -> M_direct (Delta.Rec.create g)
     | Mediated w -> M_mediated w
+    | File path -> M_file { path; stamp = stamp path; stale = None }
   in
   { mode; engine; cache; jobs; on_error; fault; sink; built; cycles = 0 }
 
@@ -113,10 +136,40 @@ let cache t = t.cache
 let cycles t = t.cycles
 
 let recorder t =
-  match t.mode with M_direct r -> Some r | M_mediated _ -> None
+  match t.mode with M_direct r -> Some r | M_mediated _ | M_file _ -> None
 
 let warehouse t =
-  match t.mode with M_mediated w -> Some w | M_direct _ -> None
+  match t.mode with M_mediated w -> Some w | M_direct _ | M_file _ -> None
+
+(* Re-read a watched file whose stamp moved, and rebase the fresh graph
+   onto the engine's so surviving objects keep their oids.  A file that
+   cannot be read or parsed (mid-save, or briefly missing during an
+   editor's rename) is quarantined: the last good data keeps serving,
+   and the next readable save is picked up. *)
+let poll_file (t : t) (f : file) =
+  let quarantine reason =
+    f.stale <- Some reason;
+    (None, None, [ (f.path, reason) ])
+  in
+  match stamp f.path with
+  | exception Unix.Unix_error (e, _, _) ->
+    (* whatever reappears at the path is read afresh *)
+    f.stamp <- (neg_infinity, -1);
+    quarantine (Unix.error_message e)
+  | st when st = f.stamp ->
+    (None, None, List.map (fun r -> (f.path, r)) (Option.to_list f.stale))
+  | st -> (
+    f.stamp <- st;
+    match parse_file f.path with
+    | exception Ddl.Ddl_error (msg, line) ->
+      quarantine (Printf.sprintf "DDL error, line %d: %s" line msg)
+    | exception Sys_error msg -> quarantine msg
+    | fresh ->
+      f.stale <- None;
+      let old = Struql.Dexec.data_graph t.engine in
+      let rebased = Delta.rebase ~old fresh in
+      let d = Delta.diff ~old rebased in
+      ((if Delta.is_empty d then None else Some d), Some rebased, []))
 
 let run_delta (t : t) ~t0 ~quarantined ?data delta : cycle_report =
   let wall () = (Unix.gettimeofday () -. t0) *. 1000. in
@@ -149,11 +202,6 @@ let run_delta (t : t) ~t0 ~quarantined ?data delta : cycle_report =
     cy_wall_ms = wall ();
   }
 
-let push ?data (t : t) delta : cycle_report =
-  let t0 = Unix.gettimeofday () in
-  t.cycles <- t.cycles + 1;
-  run_delta t ~t0 ~quarantined:[] ?data delta
-
 let cycle (t : t) : cycle_report =
   let t0 = Unix.gettimeofday () in
   let wall () = (Unix.gettimeofday () -. t0) *. 1000. in
@@ -167,6 +215,7 @@ let cycle (t : t) : cycle_report =
       match Mediator.Warehouse.refresh_delta ~jobs:t.jobs w with
       | None -> (None, None, quarantined_of w)
       | Some d -> (Some d, Some (Mediator.Warehouse.graph w), quarantined_of w))
+    | M_file f -> poll_file t f
   in
   match delta with
   | None -> clean_report ~cycle:t.cycles ~quarantined ~wall:(wall ())
@@ -178,10 +227,13 @@ let watch ?(interval = 1.0) ?max_cycles ~on_cycle (t : t) : int =
   let n = ref 0 in
   while !continue_ do
     let r = cycle t in
-    if r.cy_quarantined <> [] then degraded := true;
+    let faulted =
+      match t.fault with Some c -> Fault.fault_count c > 0 | None -> false
+    in
     (* the render profile, not the page list: under a sink the built
        site retains no pages *)
-    if t.built.Strudel.Site.render_profile.Strudel.Render_pool.rp_degraded > 0
+    if r.cy_quarantined <> [] || faulted
+       || t.built.Strudel.Site.render_profile.Strudel.Render_pool.rp_degraded > 0
     then degraded := true;
     on_cycle t r;
     incr n;
@@ -194,11 +246,7 @@ let watch ?(interval = 1.0) ?max_cycles ~on_cycle (t : t) : int =
 
 let pp_report ppf (r : cycle_report) =
   if not r.cy_changed then
-    Format.fprintf ppf "cycle %d: clean (%.1f ms)%s" r.cy_cycle r.cy_wall_ms
-      (match r.cy_quarantined with
-       | [] -> ""
-       | qs ->
-         Printf.sprintf "; %d source(s) quarantined" (List.length qs))
+    Format.fprintf ppf "cycle %d: clean (%.1f ms)" r.cy_cycle r.cy_wall_ms
   else begin
     Format.fprintf ppf
       "cycle %d: |delta|=%d drivers=%d rows=%d touched=%d removed=%d \
@@ -209,9 +257,8 @@ let pp_report ppf (r : cycle_report) =
     List.iter
       (fun (path, reason) ->
         Format.fprintf ppf "@.  fallback %s: %s" path reason)
-      r.cy_fallbacks;
-    List.iter
-      (fun (src, reason) ->
-        Format.fprintf ppf "@.  quarantined %s: %s" src reason)
-      r.cy_quarantined
-  end
+      r.cy_fallbacks
+  end;
+  List.iter
+    (fun (src, reason) -> Format.fprintf ppf "@.  quarantined %s: %s" src reason)
+    r.cy_quarantined

@@ -6,16 +6,17 @@
     render cache and the previously published build.  {!cycle} drives
     one turn of the loop: pick up what changed at the sources (a
     recorder flush in direct mode, a
-    {!Mediator.Warehouse.refresh_delta} in mediated mode), maintain the
+    {!Mediator.Warehouse.refresh_delta} in mediated mode, a re-read of
+    a changed file in file mode), maintain the
     site graph differentially, then re-render exactly the pages whose
     read traces the change invalidated.  Published output is
     byte-identical to a cold {!Strudel.Site.build} over the same data,
-    at O(change) cost; clearing {!Struql.Exec.delta_enabled} falls back
-    to full re-derivation through the same pipeline.
+    at O(change) cost.
 
     Source faults degrade, never abort: a quarantined source keeps
     serving its last integrated data (the warehouse's stale-snapshot
-    policy) and is reported per cycle. *)
+    policy, or a watched file's last good read) and is reported per
+    cycle. *)
 
 open Sgraph
 
@@ -26,6 +27,15 @@ type source =
   | Mediated of Mediator.Warehouse.t
       (** watch a warehousing mediator; each {!cycle} polls
           {!Mediator.Warehouse.refresh_delta} *)
+  | File of string
+      (** watch a DDL data file ([strudel watch --data]): each {!cycle}
+          polls its modification time and, when it moved, re-parses
+          the file, {!Sgraph.Delta.rebase}s the fresh graph onto the
+          engine's and maintains the site by the {!Sgraph.Delta.diff}
+          between the two.  A save that cannot be read or parsed
+          (a half-written file, or one briefly missing during an
+          editor's rename) quarantines the file for that cycle: the
+          last good data keeps serving until a readable save lands. *)
 
 type t
 
@@ -69,13 +79,6 @@ val cycle : t -> cycle_report
     the site graph, publish.  Cheap when nothing changed
     ([cy_changed = false]). *)
 
-val push : ?data:Graph.t -> t -> Delta.t -> cycle_report
-(** Feed one externally computed delta through the maintain-and-publish
-    leg — the file-watch ingest path ([strudel watch --data]), where
-    the caller re-reads the changed input, {!Sgraph.Delta.rebase}s it
-    onto the engine's graph and passes the rebased graph as [data]
-    with the {!Sgraph.Delta.diff} between the two. *)
-
 val watch :
   ?interval:float ->
   ?max_cycles:int ->
@@ -84,8 +87,10 @@ val watch :
   int
 (** Run {!cycle} every [interval] seconds (default 1.0), forever or for
     [max_cycles] turns, calling [on_cycle] after each.  Returns the
-    process exit code: 0 if every cycle published cleanly, 3 if any
-    cycle saw a quarantined source or a placeholder page (degraded). *)
+    process exit code: 0 if every cycle published cleanly, 3
+    (degraded) if any cycle saw a quarantined source, a publish held a
+    placeholder page, or the session's fault context recorded a
+    fault. *)
 
 val built : t -> Strudel.Site.built
 (** The current publish (updated after each changed cycle). *)
@@ -99,10 +104,10 @@ val cycles : t -> int
 
 val recorder : t -> Delta.Rec.r option
 (** Direct mode's mutation recorder: apply data-graph edits through it
-    and the next {!cycle} picks them up.  [None] in mediated mode. *)
+    and the next {!cycle} picks them up.  [None] in the other modes. *)
 
 val warehouse : t -> Mediator.Warehouse.t option
-(** Mediated mode's warehouse.  [None] in direct mode. *)
+(** Mediated mode's warehouse.  [None] in the other modes. *)
 
 val pp_report : Format.formatter -> cycle_report -> unit
 (** One line per cycle (plus fallback/quarantine detail lines) — the

@@ -29,8 +29,7 @@
     active-domain enumerators, opaque externs, constant-anchored data
     reads, cross products — are replayed in full each cycle (as one ⊥
     driver), with the reason recorded; the eager evaluator stays the
-    semantic reference.  The {!Exec.delta_enabled} kill switch turns
-    every cycle into a full re-derivation through the same machinery. *)
+    semantic reference. *)
 
 open Sgraph
 
@@ -607,7 +606,6 @@ let apply ?data t (delta : Delta.t) : site_change =
       let k = ev_key e in
       if not (Hashtbl.mem prepos k) then Hashtbl.add prepos k (e, minpos t k)
   in
-  let disabled = not !Exec.delta_enabled in
   List.iter
     (fun qs ->
       List.iter
@@ -646,7 +644,7 @@ let apply ?data t (delta : Delta.t) : site_change =
           match cls with
           | T_static ->
             (* data-independent: only a plan/class change can move it *)
-            if disabled || plan_changed || class_changed then begin
+            if plan_changed || class_changed then begin
               t.ctr.c_full_rederives <- t.ctr.c_full_rederives + 1;
               replay_whole ()
             end
@@ -656,7 +654,7 @@ let apply ?data t (delta : Delta.t) : site_change =
             replay_whole ()
           | T_driven (coll, v) ->
             let full =
-              disabled || plan_changed || class_changed
+              plan_changed || class_changed
               || List.mem coll delta.Delta.reordered
             in
             (* [oid_of] resolves affected driver keys to their nodes; a

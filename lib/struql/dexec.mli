@@ -77,9 +77,7 @@ val apply : ?data:Graph.t -> t -> Delta.t -> site_change
     swaps in a replacement data graph sharing surviving oids (the
     mediated path: {!Sgraph.Delta.rebase} + {!Sgraph.Delta.diff});
     without it the engine's current graph is assumed already mutated
-    (the direct path: {!Sgraph.Delta.Rec}).  When {!Exec.delta_enabled}
-    is cleared, the cycle re-derives every block through the same
-    machinery — still byte-identical, no longer O(change). *)
+    (the direct path: {!Sgraph.Delta.Rec}). *)
 
 val counters : t -> counters
 

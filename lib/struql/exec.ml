@@ -342,13 +342,6 @@ let op_seq g reg ~timed live (os : op_stats) (input : Eval.env Seq.t) :
 let fold_pipeline g reg ~timed live ops input =
   List.fold_left (fun s op -> op_seq g reg ~timed live op s) input ops
 
-(** Kill switch for differential (delta) evaluation: when cleared,
-    {!Dexec}-driven pipelines ([strudel watch], warehouse delta
-    refresh) fall back to cold full builds.  The streaming evaluator
-    itself always runs full — the switch is honoured by the
-    differential layer above it. *)
-let delta_enabled = ref true
-
 (* --- Whole-query evaluation --- *)
 
 type rctx = {

@@ -129,11 +129,6 @@ val pp_profile : Format.formatter -> profile -> unit
     [in=... out=... batch<=...] counters and, when timed, elapsed
     milliseconds. *)
 
-val delta_enabled : bool ref
-(** Kill switch for differential (delta) evaluation; cleared, the
-    differential layer ([strudel watch], warehouse delta refresh)
-    rebuilds cold instead.  Defaults to [true]. *)
-
 (** {1 Whole-query evaluation} *)
 
 val run :

@@ -461,15 +461,5 @@ let find_page site url = List.find_opt (fun p -> p.url = url) site.pages
 let page_of_object site o =
   List.find_opt (fun p -> Oid.equal p.obj o) site.pages
 
-(** Write all pages below [dir] (created if missing). *)
-let write_site ~dir site =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  List.iter
-    (fun p ->
-      let oc = open_out (Filename.concat dir p.url) in
-      output_string oc p.html;
-      close_out oc)
-    site.pages
-
 let total_bytes site =
   List.fold_left (fun n p -> n + String.length p.html) 0 site.pages

@@ -142,7 +142,4 @@ val page_count : site -> int
 val find_page : site -> string -> page option
 val page_of_object : site -> Oid.t -> page option
 
-val write_site : dir:string -> site -> unit
-(** Write all pages below [dir] (created if missing). *)
-
 val total_bytes : site -> int

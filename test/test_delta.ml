@@ -2,9 +2,9 @@
    refresh (Warehouse.refresh_delta) and the watch loop (Serve.Watch)
    maintain a published site byte-identically to a cold full build —
    property-tested under random edit scripts, including
-   collection-emptying removals, at jobs 1 and 4; plus units for the
-   kill switch, the fallback taxonomy, and quarantine under seeded
-   source failures. *)
+   collection-emptying removals, at jobs 1 and 4, and with fallback
+   blocks that replay in full; plus units for the fallback taxonomy and
+   quarantine under seeded source failures. *)
 
 open Sgraph
 
@@ -180,6 +180,67 @@ let delta_equals_cold ~jobs ops =
   = page_map cold.Strudel.Site.site
 
 let ops_arb = QCheck.make QCheck.Gen.(list_size (int_range 1 10) op_gen)
+
+(* --- the same site plus blocks Dexec cannot delta-evaluate — an
+   aggregate and a negation — which take the full-replay path every
+   cycle and must still publish what a cold build publishes --- *)
+
+let fallback_query =
+  {|INPUT DATA
+{ CREATE Root()
+  COLLECT Roots(Root()) }
+{ WHERE Items(i), i -> "grp" -> g
+  CREATE GroupPage(g), ItemPage(i)
+  LINK GroupPage(g) -> "Name" -> g,
+       GroupPage(g) -> "Item" -> ItemPage(i),
+       ItemPage(i) -> "Group" -> GroupPage(g),
+       Root() -> "Group" -> GroupPage(g)
+  COLLECT GroupPages(GroupPage(g)), ItemPages(ItemPage(i))
+  { WHERE i -> l -> v
+    LINK ItemPage(i) -> l -> v } }
+{ WHERE Items(i), i -> "grp" -> g
+  LINK GroupPage(g) -> "Count" -> count(i) }
+{ WHERE Items(i), not(i -> "tag" -> "old")
+  LINK Root() -> "Fresh" -> ItemPage(i) }
+OUTPUT SITE
+|}
+
+let fallback_definition =
+  let by_collection =
+    [
+      ("Roots", {|<h1>Index</h1>
+<SFMTLIST @Group ORDER=ascend KEY=Name>
+<SFMTLIST @Fresh ORDER=ascend KEY=title>
+|});
+      ("GroupPages", {|<h1><SFMT @Name> (<SFMT @Count>)</h1>
+<SFMTLIST @Item ORDER=ascend KEY=title>
+|});
+    ]
+    @ List.remove_assoc "Roots"
+        (List.remove_assoc "GroupPages"
+           templates.Template.Generator.by_collection)
+  in
+  Strudel.Site.define ~name:"FALLBACKSITE" ~root_family:"Root"
+    ~templates:{ templates with Template.Generator.by_collection }
+    [ ("site", fallback_query) ]
+
+(* [delta_equals_cold] over the fallback site, one cycle per edit *)
+let fallback_equals_cold ops =
+  let g = mk_data 30 in
+  let w =
+    Serve.Watch.create ~source:(Serve.Watch.Direct g) fallback_definition
+  in
+  let r = Option.get (Serve.Watch.recorder w) in
+  let nextid = ref 0 in
+  List.for_all
+    (fun op ->
+      apply_op r nextid op;
+      let rep = Serve.Watch.cycle w in
+      let cold = Strudel.Site.build ~data:g fallback_definition in
+      (rep.Serve.Watch.cy_fallbacks <> [] || not rep.Serve.Watch.cy_changed)
+      && page_map (Serve.Watch.built w).Strudel.Site.site
+         = page_map cold.Strudel.Site.site)
+    ops
 
 (* --- the same site, but a group page links only its items shown
    "yes": Unlink/Relink take an item page out of the site and bring it
@@ -583,6 +644,11 @@ let suite =
       (QCheck.Test.make
          ~name:"delta publish equals cold build (random edits, jobs=4)"
          ~count:8 ops_arb (delta_equals_cold ~jobs:4));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"fallback blocks replay in full and equal a cold build \
+                (random edits)"
+         ~count:15 ops_arb fallback_equals_cold);
     t "clean cycle publishes nothing" (fun () ->
         let g = mk_data 12 in
         let w =
@@ -611,15 +677,6 @@ let suite =
         check_bool "byte-identical" true
           (page_map (Serve.Watch.built w).Strudel.Site.site
            = page_map cold.Strudel.Site.site));
-    t "kill switch: full re-derive stays byte-identical" (fun () ->
-        Fun.protect
-          ~finally:(fun () -> Struql.Exec.delta_enabled := true)
-          (fun () ->
-            Struql.Exec.delta_enabled := false;
-            check_bool "identical with delta disabled" true
-              (delta_equals_cold ~jobs:1
-                 [ Add 1; Remove 3; Retitle (2, "Tx"); Empty_collection;
-                   Add 2 ])));
     t "counters advance across cycles" (fun () ->
         let g = mk_data 20 in
         let w =

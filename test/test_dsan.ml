@@ -347,8 +347,8 @@ let clean_runtime_tests =
                         .Repository.Shard.m_epoch;
                     check_string
                       (Printf.sprintf "jobs=%d cold open encodes as the view" jobs)
-                      (Repository.Binary.encode (Mediator.Warehouse.graph w))
-                      (Repository.Binary.encode
+                      (Test_shard.bytes_of (Mediator.Warehouse.graph w))
+                      (Test_shard.bytes_of
                          (Repository.Shard.open_dir ~dir ())
                            .Repository.Shard.sn_union);
                     check_int (Printf.sprintf "jobs=%d races" jobs) 0

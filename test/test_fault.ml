@@ -1,6 +1,6 @@
 (* The fault-tolerance layer: retry/backoff on virtual time, source
    policies (fail-fast / skip / stale snapshot), wrapper quarantine,
-   binary corruption offsets, and the seeded fault-injection harness
+   segment corruption offsets, and the seeded fault-injection harness
    driving the two end-to-end properties — degraded builds stay
    link-consistent (jobs ∈ {1,4}), and a build after the faults clear
    is byte-identical to one that never faulted. *)
@@ -321,24 +321,25 @@ let synth_corrupt_sources_load_under_quarantine () =
     (Fault.fault_count fault3 > 0);
   check_int "every block still loads" 12 (List.length os)
 
-(* --- binary corruption offsets --- *)
+(* --- segment corruption offsets --- *)
 
-let binary_corrupt_offsets () =
-  let s = Repository.Binary.encode (good_graph ()) in
-  (match Repository.Binary.decode (String.sub s 0 (String.length s - 3)) with
-   | exception Repository.Binary.Corrupt (_, off) ->
+let segment_corrupt_offsets () =
+  let s = Repository.Segment.encode (good_graph ()) in
+  let open_ s = Repository.Segment.of_string s in
+  (match open_ (String.sub s 0 (String.length s - 3)) with
+   | exception Repository.Segment.Corrupt (_, off) ->
      check_bool "truncation detected past the magic" true (off > 0);
      check_bool "offset within the input" true (off <= String.length s - 3)
    | _ -> Alcotest.fail "truncated input must not decode");
-  (match Repository.Binary.decode "XXXXXXXXXXXXXXXX" with
-   | exception Repository.Binary.Corrupt (msg, off) ->
+  (match open_ (String.make (String.length s) 'X') with
+   | exception Repository.Segment.Corrupt (msg, off) ->
      check_int "bad magic is at offset 0" 0 off;
      check_bool "names the magic" true (Test_cli.contains msg "magic")
    | _ -> Alcotest.fail "bad magic must not decode");
-  match Repository.Binary.decode (s ^ "junk") with
-  | exception Repository.Binary.Corrupt (msg, off) ->
+  match open_ (s ^ "junk") with
+  | exception Repository.Segment.Corrupt (msg, off) ->
     check_int "trailing bytes located at the end" (String.length s) off;
-    check_bool "names trailing bytes" true (Test_cli.contains msg "trailing")
+    check_bool "names the length" true (Test_cli.contains msg "length")
   | _ -> Alcotest.fail "trailing bytes must not decode"
 
 (* --- degraded builds: link consistency under injection --- *)
@@ -680,7 +681,7 @@ let suite =
       synth_corruption_is_opt_in;
     t "corrupt synthetic sources load under quarantine"
       synth_corrupt_sources_load_under_quarantine;
-    t "binary decoder reports corruption byte offsets" binary_corrupt_offsets;
+    t "segment reader reports corruption byte offsets" segment_corrupt_offsets;
   ]
   @ degraded_builds_stay_link_consistent
   @ [ t "seed 42 injects faults somewhere" injection_actually_fires ]

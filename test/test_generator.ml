@@ -144,14 +144,22 @@ let generation =
         let single = Generator.render_page ~templates g a in
         Alcotest.(check string) "same html" from_site.Generator.html
           single.Generator.html);
-    t "write_site produces files" (fun () ->
+    t "file sink writes generate's pages" (fun () ->
         let g, root, _, _ = mk_site_graph () in
         let site = Generator.generate ~templates g ~roots:[ root ] in
         let dir = Filename.temp_file "strudelsite" "" in
         Sys.remove dir;
-        Generator.write_site ~dir site;
-        check_int "3 files" 3 (Array.length (Sys.readdir dir));
-        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+        let sink = Strudel.Render_pool.file_sink ~dir in
+        List.iter sink.Strudel.Render_pool.sk_emit site.Generator.pages;
+        let files = List.sort compare (Array.to_list (Sys.readdir dir)) in
+        check_int "3 files" 3 (List.length files);
+        List.iter
+          (fun (p : Generator.page) ->
+            Alcotest.(check string) p.Generator.url p.Generator.html
+              (In_channel.with_open_bin (Filename.concat dir p.Generator.url)
+                 In_channel.input_all))
+          site.Generator.pages;
+        List.iter (fun f -> Sys.remove (Filename.concat dir f)) files;
         Sys.rmdir dir);
     t "total_bytes positive" (fun () ->
         let g, root, _, _ = mk_site_graph () in

@@ -145,47 +145,41 @@ let suite =
             true
             (w8 <= (w1 *. 1.25) +. 50.)
         end);
-    t "file sink output = in-memory write_site (jobs=8)" (fun () ->
+    t "file sink output = Generator.generate pages (jobs=8)" (fun () ->
         let data = Sites.Scale.data ~items:2_000 () in
         let sg, _, _, _ =
           Strudel.Site.build_site_graph Sites.Scale.definition data
         in
         let roots = Strudel.Site.roots_of sg "Root" in
         let templates = Sites.Scale.templates in
-        let tmp = Filename.temp_file "strudelscale" "" in
-        Sys.remove tmp;
-        let dir_mem = tmp ^ ".mem" and dir_sink = tmp ^ ".sink" in
-        let site, _ =
-          Strudel.Render_pool.materialize ~templates sg ~roots
-        in
-        Sys.mkdir dir_mem 0o755;
-        Template.Generator.write_site ~dir:dir_mem site;
+        let dir = Filename.temp_file "strudelscale" "" in
+        Sys.remove dir;
+        let site = Template.Generator.generate ~templates sg ~roots in
         let _, prof =
           Strudel.Render_pool.materialize ~jobs:8
-            ~sink:(Strudel.Render_pool.file_sink ~dir:dir_sink)
+            ~sink:(Strudel.Render_pool.file_sink ~dir)
             ~templates sg ~roots
         in
-        let read dir f =
-          let ic = open_in_bin (Filename.concat dir f) in
-          let n = in_channel_length ic in
-          let s = really_input_string ic n in
-          close_in ic;
-          s
+        let files = List.sort compare (Array.to_list (Sys.readdir dir)) in
+        let urls =
+          List.sort compare
+            (List.map
+               (fun p -> p.Template.Generator.url)
+               site.Template.Generator.pages)
         in
-        let files dir = List.sort compare (Array.to_list (Sys.readdir dir)) in
-        let fs_mem = files dir_mem and fs_sink = files dir_sink in
         let same =
-          fs_mem = fs_sink
-          && List.for_all (fun f -> read dir_mem f = read dir_sink f) fs_mem
+          files = urls
+          && List.for_all
+               (fun (p : Template.Generator.page) ->
+                 In_channel.with_open_bin
+                   (Filename.concat dir p.Template.Generator.url)
+                   In_channel.input_all
+                 = p.Template.Generator.html)
+               site.Template.Generator.pages
         in
-        List.iter
-          (fun dir ->
-            Array.iter
-              (fun f -> Sys.remove (Filename.concat dir f))
-              (Sys.readdir dir);
-            Sys.rmdir dir)
-          [ dir_mem; dir_sink ];
-        check_int "file count" (List.length fs_mem) (List.length fs_sink);
+        List.iter (fun f -> Sys.remove (Filename.concat dir f)) files;
+        Sys.rmdir dir;
+        check_int "file count" (List.length urls) (List.length files);
         check_bool "every file byte-identical" true same;
         check_int "profile counts streamed pages" 2_101
           prof.Strudel.Render_pool.rp_pages);
